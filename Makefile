@@ -1,6 +1,6 @@
 # Convenience targets around dune.
 
-.PHONY: all build test bench bench-json bench-diff learn-smoke perf ci clean
+.PHONY: all build test bench bench-json bench-diff learn-smoke perfbench-check perf ci clean
 
 all: build
 
@@ -22,7 +22,7 @@ bench-json:
 		dune exec bench/main.exe -- json
 
 # Bench regression diff: run the smoke sweep at the committed 2 s budget,
-# write a fresh schema-v6 snapshot to _build/bench_smoke.json, then diff it
+# write a fresh schema-v7 snapshot to _build/bench_smoke.json, then diff it
 # against the committed BENCH_solver.json.  Exits non-zero when any
 # (circuit, k) row's design area regressed or proven optimality was lost;
 # node-count (localized to the prune reason whose share moved) / waste /
@@ -48,13 +48,24 @@ bench-diff:
 # upload next to bench_diff.txt.
 learn-smoke:
 	@mkdir -p $(CURDIR)/_build
-	( echo "== synth tseng k=2 --learn on --restarts off =="; \
+	( echo "== synth tseng k=2 --learn on =="; \
 	  dune exec bin/advbist_cli.exe -- synth -c tseng -k 2 -t 10 \
-		--learn on --restarts off --stats 2>&1; \
+		--learn on --stats 2>&1; \
 	  echo; echo "== synth tseng k=2 --learn off =="; \
 	  dune exec bin/advbist_cli.exe -- synth -c tseng -k 2 -t 10 \
 		--learn off --stats 2>&1 ) \
 		| tee $(CURDIR)/_build/learning_stats.txt
+
+# The BENCHMARK.json workloads as correctness gates: each run checks its
+# pinned and enumeration-certified optima and that repeated passes return
+# identical results, and exits non-zero when a check fails.  Gates only on
+# that exit code — the printed timings are machine-dependent and never
+# compared here.
+perfbench-check:
+	for w in sweep-budget prove lp-file; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 10 \
+		--trace 0 || exit 1; \
+	done
 
 # Kernel micro-benchmark: simplex re-solve iterations/s and propagation
 # fixpoint sweeps/s on a fixed instance (tseng k=1).  Non-gating — rates
@@ -64,14 +75,15 @@ perf:
 	dune exec bench/main.exe -- perf | tee $(CURDIR)/_build/perf_micro.txt
 
 # Fast gate for every change: build, unit tests, the conflict-engine
-# smoke above, then the bench smoke + regression diff — the smoke asserts
+# smoke above, the benchmark workloads' correctness checks, then the
+# bench smoke + regression diff — the smoke asserts
 # the solver still proves tseng k=1 optimal at the 2 s budget and that no
 # (circuit, k) row's design area regressed vs the committed
 # BENCH_solver.json, and the diff report classifies every other drift
 # (~1 min: it re-runs every committed sweep at 2 s/ILP).  The perf
 # micro-rates ride along non-gating (`|| true` lives in the CI step, not
 # here, so interactive `make perf` still reports failures).
-ci: build test learn-smoke bench-diff
+ci: build test learn-smoke perfbench-check bench-diff
 
 clean:
 	dune clean

@@ -400,8 +400,8 @@ let dirty_entries ~ignore_path =
   with Unix.Unix_error _ | Sys_error _ -> []
 
 (* One full k-sweep per circuit, with solver stats on, assembled into a
-   schema-v6 snapshot (Advbist.Bench_snapshot) — the shared measurement
-   core of the [json] and [smoke] arms.  The v5 post-mortem fields come
+   schema-v7 snapshot (Advbist.Bench_snapshot) — the shared measurement
+   core of the [json] and [smoke] arms.  The post-mortem fields come
    from a second, separately-traced sweep: tracing costs per-node time,
    so on budget-limited rows it would degrade the headline areas the
    gate compares — the measured pass stays untraced and only the
@@ -481,23 +481,19 @@ let run_snapshot ~tag () =
                           (match o.Advbist.Synth.stats with
                           | Some st -> st.Ilp.Stats.deleted
                           | None -> 0);
-                        restarts =
-                          (match o.Advbist.Synth.stats with
-                          | Some st -> st.Ilp.Stats.restarts
-                          | None -> 0);
                       })
                     rows;
               })
       Circuits.Suite.all
   in
   {
-    Advbist.Bench_snapshot.version = 6;
+    Advbist.Bench_snapshot.version = 7;
     commit = git_commit ();
     budget_s = budget;
     jobs;
     (* what Synth.solver_options actually runs the sweep with *)
     config =
-      { Advbist.Bench_snapshot.portfolio = false; cuts = false; lp = "root<=1500" };
+      { Advbist.Bench_snapshot.cuts = false; lp = "root<=1500" };
     circuits;
     total_wall_s = Unix.gettimeofday () -. started;
   }

@@ -75,8 +75,10 @@ let jobs_arg =
     & opt int (Ilp.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the work-stealing parallel tree search \
-           (default: \\$(b,ADVBIST_JOBS) from the environment, else 1).")
+          "Worker domains.  With $(docv) >= 2, each solve is split into \
+           open subtrees on a work-stealing domain pool (deterministic \
+           across $(docv)); default: \\$(b,ADVBIST_JOBS) from the \
+           environment, else 1.")
 
 let sym_arg =
   Arg.(
@@ -87,38 +89,6 @@ let sym_arg =
           "Orbit-based symmetry breaking in the solver (lexicographic \
            ordering rows + orbital fixing).  Default: on.")
 
-let steal_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "steal" ] ~docv:"on|off"
-        ~doc:
-          "With -j >= 2, split each solve into open subtrees on a \
-           work-stealing domain pool (deterministic across -j).  \
-           Default: on.")
-
-let portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:
-          "Race diverse solver configurations on a domain pool with a \
-           shared incumbent bound instead of a single branch-and-bound \
-           run.")
-
-let pricing_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("dantzig", Ilp.Simplex.Dantzig); ("devex", Ilp.Simplex.Devex) ])
-        Ilp.Simplex.Devex
-    & info [ "pricing" ] ~docv:"dantzig|devex"
-        ~doc:
-          "Leaving-row pricing rule of the warm dual-simplex engine: \
-           $(b,devex) (default) reference-weight pricing, or $(b,dantzig) \
-           most-violated.  Both fall back to Bland's rule on stalls.")
-
 let learn_arg =
   Arg.(
     value
@@ -128,22 +98,6 @@ let learn_arg =
           "Conflict learning in the solver: 1-UIP nogoods from every \
            propagation dead end, bounded learned-clause database, \
            non-chronological backjumping.  Default: on.")
-
-let restarts_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("off", Ilp.Solver.Restarts_off);
-             ("luby", Ilp.Solver.Restarts_luby);
-           ])
-        Ilp.Solver.Restarts_off
-    & info [ "restarts" ] ~docv:"off|luby"
-        ~doc:
-          "Solver restart schedule: $(b,off) (default) a single dive, or \
-           $(b,luby) Luby-spaced re-dives from the root keeping learned \
-           clauses (needs --learn on to make progress).")
 
 let k_arg =
   Arg.(
@@ -281,8 +235,8 @@ let ref_cmd =
 (* -- synth --------------------------------------------------------------- *)
 
 let synth_cmd =
-  let run circuit file time_limit k meth verilog lp portfolio jobs sym steal
-      stats trace_file explain pricing learn restarts =
+  let run circuit file time_limit k meth verilog lp jobs sym stats trace_file
+      explain learn =
     let p = or_die (load ~circuit ~file) in
     let k = Option.value k ~default:(Dfg.Problem.n_modules p) in
     Option.iter
@@ -297,8 +251,8 @@ let synth_cmd =
       | `Advbist ->
           let o =
             or_die
-              (Advbist.Synth.synthesize ~time_limit ~portfolio ~jobs ~sym
-                 ~steal ~stats ?trace ~explain ~pricing ~learn ~restarts p ~k)
+              (Advbist.Synth.synthesize ~time_limit ~jobs ~sym ~stats ?trace
+                 ~explain ~learn p ~k)
           in
           (match o.Advbist.Synth.stats with
           | Some st ->
@@ -338,21 +292,19 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a built-in self-testable data path.")
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ k_arg $ method_arg
-      $ verilog_arg $ lp_arg $ portfolio_arg $ jobs_arg $ sym_arg $ steal_arg
-      $ stats_arg $ trace_arg $ explain_arg $ pricing_arg $ learn_arg
-      $ restarts_arg)
+      $ verilog_arg $ lp_arg $ jobs_arg $ sym_arg $ stats_arg $ trace_arg
+      $ explain_arg $ learn_arg)
 
 (* -- sweep --------------------------------------------------------------- *)
 
 let sweep_cmd =
-  let run circuit file time_limit fmt jobs sym steal stats trace_file explain
-      pricing learn restarts =
+  let run circuit file time_limit fmt jobs sym stats trace_file explain learn =
     let p = or_die (load ~circuit ~file) in
     let trace = Option.map Ilp.Trace.file trace_file in
     let reference, rows =
       or_die
-        (Advbist.Synth.sweep ~time_limit ~jobs ~sym ~steal ~stats ?trace
-           ~explain ~pricing ~learn ~restarts p)
+        (Advbist.Synth.sweep ~time_limit ~jobs ~sym ~stats ?trace ~explain
+           ~learn p)
     in
     Option.iter Ilp.Trace.close trace;
     Format.printf "reference area %d%s@." reference.Advbist.Synth.ref_area
@@ -384,8 +336,8 @@ let sweep_cmd =
        ~doc:"Synthesize one ADVBIST design per k-test session (Table 2).")
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ format_arg
-      $ jobs_arg $ sym_arg $ steal_arg $ stats_arg $ trace_arg
-      $ explain_arg $ pricing_arg $ learn_arg $ restarts_arg)
+      $ jobs_arg $ sym_arg $ stats_arg $ trace_arg $ explain_arg
+      $ learn_arg)
 
 (* -- compare ------------------------------------------------------------- *)
 

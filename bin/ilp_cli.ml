@@ -22,14 +22,6 @@ let time_limit_arg =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log incumbents.")
 
-let portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:
-          "Race three diverse solver configurations on a domain pool with \
-           a shared incumbent bound; the first completed proof wins.")
-
 let cuts_arg =
   Arg.(
     value
@@ -49,36 +41,6 @@ let learn_arg =
            1-UIP nogood, append it to a bounded learned-clause database \
            and backjump non-chronologically.  Default: on.")
 
-let restarts_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("off", Ilp.Solver.Restarts_off);
-             ("luby", Ilp.Solver.Restarts_luby);
-           ])
-        Ilp.Solver.Restarts_off
-    & info [ "restarts" ] ~docv:"off|luby"
-        ~doc:
-          "Restart schedule: $(b,off) (default) a single dive, or \
-           $(b,luby) abandon the dive on Luby-spaced conflict counts and \
-           re-enter from the root keeping learned clauses (needs --learn \
-           on to make progress).")
-
-let pricing_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("dantzig", Ilp.Simplex.Dantzig); ("devex", Ilp.Simplex.Devex) ])
-        Ilp.Simplex.Devex
-    & info [ "pricing" ] ~docv:"dantzig|devex"
-        ~doc:
-          "Leaving-row pricing rule of the warm dual-simplex engine: \
-           $(b,devex) (default) reference-weight pricing, or $(b,dantzig) \
-           most-violated.  Both fall back to Bland's rule on stalls.")
-
 let sym_arg =
   Arg.(
     value
@@ -89,22 +51,16 @@ let sym_arg =
            lexicographic ordering rows at the root and fix orbits during \
            search.  Default: on.")
 
-let steal_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "steal" ] ~docv:"on|off"
-        ~doc:
-          "With -j >= 2, split the tree into open subtrees and solve them \
-           on a work-stealing domain pool (deterministic: any -j returns \
-           the same objective and solution).  Default: on.")
-
 let jobs_arg =
   Arg.(
     value
     & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains for the parallel tree search (with --steal on).")
+        ~doc:
+          "Worker domains.  With $(docv) >= 2, split the tree into open \
+           subtrees and solve them on a work-stealing domain pool \
+           (deterministic: any $(docv) returns the same objective and \
+           solution).  Default: 1.")
 
 let stats_flag_arg =
   Arg.(
@@ -132,8 +88,7 @@ let load path =
       exit 1
 
 let solve_cmd =
-  let run path time_limit verbose portfolio cuts learn restarts pricing sym
-      steal jobs stats trace_file =
+  let run path time_limit verbose cuts learn sym jobs stats trace_file =
     let { Ilp.Lp_parse.model; negated } = load path in
     Printf.printf "%s\n" (Ilp.Model.stats model);
     let trace = Option.map Ilp.Trace.file trace_file in
@@ -144,25 +99,13 @@ let solve_cmd =
         verbose;
         cuts;
         learn;
-        restarts;
-        pricing;
         sym;
         stats;
         trace;
       }
     in
     let r =
-      if portfolio then begin
-        let { Ilp.Portfolio.outcome; winner; _ } =
-          Ilp.Portfolio.solve
-            ~configs:(Ilp.Portfolio.default_configs options)
-            model
-        in
-        Printf.printf "portfolio: config %d decided the race\n" winner;
-        outcome
-      end
-      else if jobs >= 2 && steal then
-        Ilp.Solver.solve_parallel ~options ~jobs model
+      if jobs >= 2 then Ilp.Solver.solve_parallel ~options ~jobs model
       else Ilp.Solver.solve ~options model
     in
     Option.iter Ilp.Trace.close trace;
@@ -212,9 +155,8 @@ let solve_cmd =
   in
   Cmd.v (Cmd.info "solve" ~doc:"Solve an integer program to optimality.")
     Term.(
-      const run $ file_arg $ time_limit_arg $ verbose_arg $ portfolio_arg
-      $ cuts_arg $ learn_arg $ restarts_arg $ pricing_arg $ sym_arg
-      $ steal_arg $ jobs_arg $ stats_flag_arg $ trace_arg)
+      const run $ file_arg $ time_limit_arg $ verbose_arg $ cuts_arg
+      $ learn_arg $ sym_arg $ jobs_arg $ stats_flag_arg $ trace_arg)
 
 let relax_cmd =
   let run path =

@@ -1,4 +1,4 @@
-(* Bench snapshot file format (read v2..v6, write v6) and regression
+(* Bench snapshot file format (read v6..v7, write v7) and regression
    diffing.  The JSON parser below covers exactly the subset the
    snapshots use (objects, arrays, strings, numbers, booleans, null) —
    enough to round-trip our own files without a JSON dependency. *)
@@ -18,7 +18,6 @@ type row = {
   conflicts : int;
   learned : int;
   deleted : int;
-  restarts : int;
 }
 
 type circuit = {
@@ -29,7 +28,7 @@ type circuit = {
   rows : row list;
 }
 
-type config = { portfolio : bool; cuts : bool; lp : string }
+type config = { cuts : bool; lp : string }
 
 type t = {
   version : int;
@@ -235,43 +234,30 @@ let as_arr name = function
   | _ -> raise (Parse_error (Printf.sprintf "field %S: expected array" name))
 
 let schema_version = function
-  | "advbist-solver-bench/2" -> 2
-  | "advbist-solver-bench/3" -> 3
-  | "advbist-solver-bench/4" -> 4
-  | "advbist-solver-bench/5" -> 5
   | "advbist-solver-bench/6" -> 6
+  | "advbist-solver-bench/7" -> 7
   | s -> raise (Parse_error (Printf.sprintf "unknown schema %S" s))
 
-let derive_nodes_per_sec ~nodes ~time_s =
-  if time_s > 0.0 then float_of_int nodes /. time_s else 0.0
-
+(* A v6 row's [restarts] counter and a v6 config's [portfolio] flag are
+   ignored: v7 dropped both with the solver paths they measured. *)
 let row_of_json j =
-  let time_s = as_num "time_s" (field "time_s" j) in
-  let nodes = as_int "nodes" (field "nodes" j) in
   {
     k = as_int "k" (field "k" j);
-    time_s;
-    nodes;
+    time_s = as_num "time_s" (field "time_s" j);
+    nodes = as_int "nodes" (field "nodes" j);
     optimal = as_bool "optimal" (field "optimal" j);
     area = as_int "area" (field "area" j);
     overhead_pct = as_num "overhead_pct" (field "overhead_pct" j);
     gap_pct = as_num "gap_pct" (field "gap_pct" j);
-    (* pre-v4 snapshots carry no throughput field; derive it so diffs
-       against old baselines still compare like with like *)
-    nodes_per_sec =
-      (match field_opt "nodes_per_sec" j with
-      | Some v -> as_num "nodes_per_sec" v
-      | None -> derive_nodes_per_sec ~nodes ~time_s);
+    nodes_per_sec = as_num "nodes_per_sec" (field "nodes_per_sec" j);
     phase_s =
       (match field_opt "phase_s" j with
       | Some (Obj fields) ->
           List.map (fun (name, v) -> (name, as_num name v)) fields
       | Some _ -> raise (Parse_error "phase_s: expected object")
       | None -> []);
-    (* v5 post-mortem fields; pre-v5 snapshots simply lack them.  A
-       missing prune_shares map always reads as the empty map — v5
-       writers dropped the field entirely on zero-prune rows, so
-       absence and emptiness must diff identically. *)
+    (* post-mortem fields, present only on rows solved with explain
+       capture *)
     waste_pct =
       (match field_opt "waste_pct" j with
       | Some v -> Some (as_num "waste_pct" v)
@@ -282,7 +268,7 @@ let row_of_json j =
           List.map (fun (name, v) -> (name, as_num name v)) fields
       | Some _ -> raise (Parse_error "prune_shares: expected object")
       | None -> []);
-    (* v6 conflict-engine counters; 0 when the snapshot predates them *)
+    (* conflict-engine counters, omitted by the writer when all zero *)
     conflicts =
       (match field_opt "conflicts" j with
       | Some v -> as_int "conflicts" v
@@ -294,10 +280,6 @@ let row_of_json j =
     deleted =
       (match field_opt "deleted" j with
       | Some v -> as_int "deleted" v
-      | None -> 0);
-    restarts =
-      (match field_opt "restarts" j with
-      | Some v -> as_int "restarts" v
       | None -> 0);
   }
 
@@ -312,7 +294,6 @@ let circuit_of_json j =
 
 let config_of_json j =
   {
-    portfolio = as_bool "portfolio" (field "portfolio" j);
     cuts = as_bool "cuts" (field "cuts" j);
     lp = as_str "lp" (field "lp" j);
   }
@@ -341,18 +322,18 @@ let of_file path =
   | contents -> of_string contents
   | exception Sys_error msg -> Error msg
 
-(* ---------- rendering (always v6) ---------- *)
+(* ---------- rendering (always v7) ---------- *)
 
 let to_string t =
   let buf = Buffer.create 4096 in
   let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   bpf "{\n";
-  bpf "  \"schema\": \"advbist-solver-bench/6\",\n";
+  bpf "  \"schema\": \"advbist-solver-bench/7\",\n";
   bpf "  \"commit\": %S,\n" t.commit;
   bpf "  \"budget_s\": %g,\n" t.budget_s;
   bpf "  \"jobs\": %d,\n" t.jobs;
-  bpf "  \"config\": { \"portfolio\": %b, \"cuts\": %b, \"lp\": %S },\n"
-    t.config.portfolio t.config.cuts t.config.lp;
+  bpf "  \"config\": { \"cuts\": %b, \"lp\": %S },\n" t.config.cuts
+    t.config.lp;
   bpf "  \"circuits\": [\n";
   List.iteri
     (fun ci c ->
@@ -393,13 +374,11 @@ let to_string t =
                         (List.map
                            (fun (name, v) -> Printf.sprintf "%S: %.2f" name v)
                            shares))));
-          (if r.conflicts <> 0 || r.learned <> 0 || r.deleted <> 0
-              || r.restarts <> 0
-           then
+          (if r.conflicts <> 0 || r.learned <> 0 || r.deleted <> 0 then
              bpf
                ",\n          \"conflicts\": %d, \"learned\": %d, \
-                \"deleted\": %d, \"restarts\": %d"
-               r.conflicts r.learned r.deleted r.restarts);
+                \"deleted\": %d"
+               r.conflicts r.learned r.deleted);
           bpf " }%s\n" (if ri < List.length c.rows - 1 then "," else " ]"))
         c.rows;
       bpf "    }%s\n" (if ci < List.length t.circuits - 1 then "," else ""))
@@ -445,7 +424,7 @@ let diff_row ~circuit (b : row) (c : row) =
   let node_pct = pct_change ~from:(float_of_int b.nodes) ~to_:(float_of_int c.nodes) in
   if b.optimal && c.optimal && Float.abs node_pct > 20.0 then begin
     (* Localize the tree-size move to the pruning machinery whose share
-       of the closed nodes shifted most (v5 snapshots only): a smaller
+       of the closed nodes shifted most (rows with a post-mortem only): a smaller
        lp_bound share with a bigger cutoff share says the LP got weaker,
        not that propagation broke. *)
     let attribution =
@@ -475,7 +454,7 @@ let diff_row ~circuit (b : row) (c : row) =
       (Printf.sprintf "node count moved %+.0f%% (%d -> %d)%s" node_pct b.nodes
          c.nodes attribution)
   end;
-  (* Wasted work (v5): more of the tree opened above the final incumbent
+  (* Wasted work: more of the tree opened above the final incumbent
      means the warm start / early incumbents got worse. *)
   (match (b.waste_pct, c.waste_pct) with
   | Some bw, Some cw when cw -. bw > 10.0 ->
@@ -485,10 +464,10 @@ let diff_row ~circuit (b : row) (c : row) =
   if c.gap_pct -. b.gap_pct > 2.0 then
     add Warn
       (Printf.sprintf "gap grew %.2f -> %.2f points" b.gap_pct c.gap_pct);
-  (* Conflict density (v6): conflicts per node is how often propagation
-     runs into a dead end.  A jump says branching or the learned-clause
+  (* Conflict density: conflicts per node is how often propagation runs
+     into a dead end.  A jump says branching or the learned-clause
      database got worse at steering the dive — only comparable when the
-     baseline measured a nonzero rate (pre-v6 rows parse as 0). *)
+     baseline measured a nonzero rate. *)
   (let cpn (r : row) =
      if r.nodes > 0 then float_of_int r.conflicts /. float_of_int r.nodes
      else 0.0

@@ -1,25 +1,19 @@
 (** Solver bench snapshots: the on-disk JSON schema behind
     [BENCH_solver.json], and regression diffing between two snapshots.
 
-    The writer emits schema version 6 ([advbist-solver-bench/6]), which
-    adds the conflict-engine counters ([conflicts], [learned],
-    [deleted], [restarts] from {!Ilp.Stats}) to version 5's per-row
-    search post-mortem from {!Ilp.Replay} (an optional [waste_pct] —
-    share of nodes an oracle incumbent would have skipped — and a
-    [prune_shares] object mapping each prune reason to its percentage
-    of the closed nodes), itself on top of version 4's [nodes_per_sec]
-    throughput and version 3's optional per-row [phase_s] phase timings
-    ({!Ilp.Stats.phases}).  Unlike the v5 writer, which dropped
-    [prune_shares] entirely on zero-prune rows, v6 always emits the map
-    (an explicit empty object) on any row that carries a post-mortem.
-    The parser reads versions 2 through 6; rows from older versions
-    parse with the newer fields empty/absent ([phase_s] = [[]],
-    [nodes_per_sec] derived as [nodes / time_s], [waste_pct] = [None],
-    [prune_shares] = [[]], conflict counters 0), and a missing
-    [prune_shares] map always reads as the empty map so v5 and v6
-    zero-prune rows diff identically.  Parsing is restricted to the
-    subset of JSON these snapshots use — it is a file format, not a
-    general JSON library. *)
+    The writer emits schema version 7 ([advbist-solver-bench/7]).  Each
+    row carries its area, optimality, gap, [nodes_per_sec] throughput,
+    optional [phase_s] phase timings ({!Ilp.Stats.phases}), an optional
+    search post-mortem from {!Ilp.Replay} ([waste_pct] — share of nodes
+    an oracle incumbent would have skipped — and a [prune_shares] object
+    mapping each prune reason to its percentage of the closed nodes,
+    always emitted, possibly empty, on a row with a post-mortem) and the
+    conflict-engine counters [conflicts], [learned], [deleted] from
+    {!Ilp.Stats}, omitted when all zero.  Version 7 is version 6 without
+    the per-row [restarts] counter and the [config.portfolio] flag; the
+    parser reads versions 6 and 7 and ignores those two v6 fields.
+    Parsing is restricted to the subset of JSON these snapshots use — it
+    is a file format, not a general JSON library. *)
 
 type row = {
   k : int;
@@ -29,26 +23,22 @@ type row = {
   area : int;
   overhead_pct : float;
   gap_pct : float;
-  nodes_per_sec : float;
-      (** node throughput; derived as [nodes / time_s] when the snapshot
-          predates v4 (0 when [time_s] is 0) *)
+  nodes_per_sec : float;  (** node throughput *)
   phase_s : (string * float) list;
-      (** per-phase seconds, in emission order; [[]] when absent (v2) *)
+      (** per-phase seconds, in emission order; [[]] when absent *)
   waste_pct : float option;
       (** {!Ilp.Replay.report.waste_pct} for this row's solve: percent
           of opened nodes whose parent bound already met the final
-          incumbent; [None] before v5 or when the bench ran without
-          explain capture *)
+          incumbent; [None] when the bench ran without explain capture *)
   prune_shares : (string * float) list;
       (** per-reason percentage of all pruned nodes
-          ({!Ilp.Replay.prune_shares}); [[]] before v5 and on rows whose
-          snapshot omitted the map *)
+          ({!Ilp.Replay.prune_shares}); [[]] on rows without a
+          post-mortem *)
   conflicts : int;
       (** propagation conflicts analyzed by the conflict engine
-          ({!Ilp.Stats.t.conflicts}); 0 before v6 *)
-  learned : int;  (** 1-UIP nogoods appended to the database; 0 before v6 *)
-  deleted : int;  (** learned rows dropped by DB reduction; 0 before v6 *)
-  restarts : int;  (** scheduled re-dives from the root; 0 before v6 *)
+          ({!Ilp.Stats.t.conflicts}) *)
+  learned : int;  (** 1-UIP nogoods appended to the database *)
+  deleted : int;  (** learned rows dropped by DB reduction *)
 }
 
 type circuit = {
@@ -59,7 +49,7 @@ type circuit = {
   rows : row list;
 }
 
-type config = { portfolio : bool; cuts : bool; lp : string }
+type config = { cuts : bool; lp : string }
 
 type t = {
   version : int;  (** schema version this snapshot was parsed from *)
@@ -75,7 +65,7 @@ val of_string : string -> (t, string) result
 val of_file : string -> (t, string) result
 
 val to_string : t -> string
-(** Rendered as schema version 6, regardless of [version]; parsing the
+(** Rendered as schema version 7, regardless of [version]; parsing the
     result back and rendering again is a fixpoint. *)
 
 (** {2 Regression diffing} *)
@@ -98,12 +88,12 @@ val diff : baseline:t -> current:t -> finding list
 
     [Warn]: node count moved more than 20% in either direction (only on
     rows both snapshots prove optimal — on a budget-limited row the
-    count is machine throughput, not tree size; when both rows carry v5
+    count is machine throughput, not tree size; when both rows carry
     [prune_shares] the finding names the prune reason whose share of
     the closed nodes moved most, localizing the regression to the
     pruning machinery responsible), wasted work ([waste_pct]) grew by
     more than 10 points of the node count, the
-    conflict density ([conflicts] per node, v6) grew by more than 20%
+    conflict density ([conflicts] per node) grew by more than 20%
     (only when the baseline measured a nonzero rate), the
     optimality gap grew by more than 2 points, a row's solve time grew
     by more than 20% (and at least 0.1 s), node throughput

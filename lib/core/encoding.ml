@@ -901,8 +901,9 @@ let objective_lower_bound e =
   let d_sr = Datapath.Area.register Datapath.Area.Sr - plain in
   let d_bilbo = Datapath.Area.register Datapath.Area.Bilbo - plain in
   let d_cbilbo = Datapath.Area.register Datapath.Area.Cbilbo - plain in
-  let srs = (n_mod + e.k - 1) / e.k in
-  let tpgs = !max_ports in
+  (* a reference (k = 0) encoding has no SR or TPG roles, so no upgrades *)
+  let srs = if e.k = 0 then 0 else (n_mod + e.k - 1) / e.k in
+  let tpgs = if e.k = 0 then 0 else !max_ports in
   (* Role merges, refined per-session: the busiest sub-test session tests
      at least ceil(n_mod / k) modules at once, so their SRs are that many
      distinct registers (Eq. 8) active simultaneously with the session's

@@ -77,25 +77,21 @@ let lp_mode model =
   else Ilp.Solver.Lp_never
 
 let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
-    ?(pricing = Ilp.Simplex.Devex)
-    ?(learn = Ilp.Solver.default.Ilp.Solver.learn)
-    ?(restarts = Ilp.Solver.default.Ilp.Solver.restarts) ~sym encoding warm =
+    ?(learn = Ilp.Solver.default.Ilp.Solver.learn) ~sym encoding warm =
   {
     Ilp.Solver.default with
     Ilp.Solver.time_limit;
     learn;
-    restarts;
     node_limit;
     stats;
     trace;
-    pricing;
     lp = lp_mode encoding.Encoding.model;
     (* The BIST encodings' LP relaxation is far weaker than cutoff-driven
        propagation (the integer rounding in the bound tightening does the
        heavy lifting), so at interactive budgets the root cut loop costs
        more wall clock than its pruning returns.  Probing-based proving
        (Solver's shaving pass) is what closes these instances; leave the
-       cut loop to the portfolio and CLI paths where callers opt in. *)
+       cut loop to the CLI path where callers opt in. *)
     cuts = false;
     branch_order = Some (Encoding.branch_order encoding);
     warm_start = warm;
@@ -107,16 +103,10 @@ let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
     orbits = (if sym then Encoding.orbits encoding else []);
   }
 
-(* One ILP solve: a portfolio race of diverse configurations sharing an
-   incumbent bound, a work-stealing parallel subtree search, or the plain
+(* One ILP solve: a work-stealing parallel subtree search, or the plain
    sequential branch-and-bound. *)
-let run_solver ~portfolio ~jobs ~steal options model =
-  if portfolio then
-    (Ilp.Portfolio.solve ~configs:(Ilp.Portfolio.default_configs options)
-       model)
-      .Ilp.Portfolio.outcome
-  else if jobs >= 2 && steal then
-    Ilp.Solver.solve_parallel ~options ~jobs model
+let run_solver ~jobs options model =
+  if jobs >= 2 then Ilp.Solver.solve_parallel ~options ~jobs model
   else Ilp.Solver.solve ~options model
 
 (* Post-mortem capture: when [explain] is set the solve's trace is
@@ -160,17 +150,15 @@ let stamp_presolve (r : Ilp.Solver.outcome) presolve_s =
   | Some st -> st.Ilp.Stats.presolve_s <- st.Ilp.Stats.presolve_s +. presolve_s
   | None -> ()
 
-let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
-    ?(jobs = 1) ?(sym = true) ?(steal = true) ?stats ?trace ?pricing
-    ?learn ?restarts (p : Dfg.Problem.t) =
+let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
+    ?stats ?trace ?learn (p : Dfg.Problem.t) =
   let n_regs = Dfg.Problem.min_registers p in
   let e = Encoding.build_reference ?symmetry p ~n_regs in
   let* d0 = Heuristic.netlist p in
   let* d0 = align_to_clique p d0 in
   let warm = Result.to_option (Encoding.vector_of_netlist e d0) in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?trace ?pricing ?learn
-      ?restarts ~sym e warm
+    solver_options ?time_limit ?node_limit ?stats ?trace ?learn ~sym e warm
   in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
@@ -180,7 +168,7 @@ let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
      typically halves the row count, pulling mid-size encodings under the
      basis-inverse budget. *)
   let options = { options with Ilp.Solver.lp = lp_mode model } in
-  let r = run_solver ~portfolio ~jobs ~steal options model in
+  let r = run_solver ~jobs options model in
   stamp_presolve r presolve_s;
   match r.Ilp.Solver.solution with
   | None -> Error "reference synthesis found no data path"
@@ -195,10 +183,8 @@ let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
           ref_stats = r.Ilp.Solver.stats;
         }
 
-let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
-    ?(jobs = 1) ?(sym = true) ?(steal = true) ?stats ?trace
-    ?(explain = false) ?pricing ?learn ?restarts ?seed (p : Dfg.Problem.t)
-    ~k =
+let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
+    ?stats ?trace ?(explain = false) ?learn ?seed (p : Dfg.Problem.t) ~k =
   let n_regs = Dfg.Problem.min_registers p in
   let e = Encoding.build ?symmetry p ~n_regs ~k in
   (* Two warm-start candidates: the constructive heuristic's data path,
@@ -237,8 +223,7 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
     | None, s -> (s, None)
   in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?pricing ?learn ?restarts
-      ~sym e warm
+    solver_options ?time_limit ?node_limit ?stats ?learn ~sym e warm
   in
   let options = { options with Ilp.Solver.incumbent_start = incumbent } in
   (* presolve keeps variable indices, so decoding solutions still works *)
@@ -252,7 +237,7 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
   let r, report =
     with_explain ~explain ?trace ~orbits:(Encoding.orbits e) (fun tr ->
         let options = { options with Ilp.Solver.trace = tr } in
-        let r = run_solver ~portfolio ~jobs ~steal options model in
+        let r = run_solver ~jobs options model in
         stamp_presolve r presolve_s;
         r)
   in
@@ -304,10 +289,10 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
 type sweep_row = { k : int; outcome : outcome; overhead_pct : float }
 
 let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
-    ?(steal = true) ?stats ?trace ?explain ?pricing ?learn ?restarts p =
+    ?stats ?trace ?explain ?learn p =
   let* reference =
-    reference ?time_limit ?node_limit ?symmetry ~jobs ~sym ~steal ?stats
-      ?trace ?pricing ?learn ?restarts p
+    reference ?time_limit ?node_limit ?symmetry ~jobs ~sym ?stats ?trace
+      ?learn p
   in
   let n = Dfg.Problem.n_modules p in
   (* The sweep is sequential in k so each instance can be seeded with the
@@ -319,8 +304,8 @@ let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
     if k > n then Ok (List.rev acc)
     else
       let* outcome =
-        synthesize ?time_limit ?node_limit ?symmetry ~jobs ~sym ~steal
-          ?stats ?trace ?explain ?pricing ?learn ?restarts ~seed p ~k
+        synthesize ?time_limit ?node_limit ?symmetry ~jobs ~sym ?stats
+          ?trace ?explain ?learn ~seed p ~k
       in
       let overhead_pct =
         Bist.Plan.overhead_pct outcome.plan ~reference:reference.ref_area

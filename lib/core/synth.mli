@@ -44,42 +44,30 @@ type reference = {
 }
 
 val reference :
-  ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
-  ?portfolio:bool -> ?jobs:int -> ?sym:bool -> ?steal:bool ->
-  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?pricing:Ilp.Simplex.pricing ->
-  ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
+  ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
+  ?sym:bool -> ?stats:bool -> ?trace:Ilp.Trace.sink -> ?learn:bool ->
   Dfg.Problem.t ->
   (reference, string) result
 (** Area-optimal non-BIST data path (registers all plain + minimal mux
-    area), warm-started from left-edge + greedy binding.  [portfolio]
-    races diverse solver configurations on a domain pool
-    ({!Ilp.Portfolio}); default false.  [sym] (default true) passes the
-    encoding's verified orbits to the solver for lex rows and orbital
-    fixing.  [jobs >= 2] with [steal] (default true) runs the
-    work-stealing parallel tree search ({!Ilp.Solver.solve_parallel})
-    unless [portfolio] is set.  [pricing] selects the warm LP engine's
-    leaving-row rule (default {!Ilp.Simplex.Devex}). *)
+    area), warm-started from left-edge + greedy binding.  [sym] (default
+    true) passes the encoding's verified orbits to the solver for lex
+    rows and orbital fixing.  [jobs >= 2] runs the work-stealing
+    parallel tree search ({!Ilp.Solver.solve_parallel}); [jobs = 1]
+    (default) the sequential {!Ilp.Solver.solve}. *)
 
 val synthesize :
-  ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
-  ?portfolio:bool -> ?jobs:int -> ?sym:bool -> ?steal:bool ->
-  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool ->
-  ?pricing:Ilp.Simplex.pricing ->
-  ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
-  ?seed:Datapath.Netlist.t -> Dfg.Problem.t -> k:int ->
+  ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
+  ?sym:bool -> ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool ->
+  ?learn:bool -> ?seed:Datapath.Netlist.t -> Dfg.Problem.t -> k:int ->
   (outcome, string) result
-(** [portfolio] races diverse solver configurations with a shared
-    incumbent bound instead of one branch-and-bound run; same optima,
-    often less wall-clock on hard instances.  Default false.
-
-    [stats] (default false) collects solver telemetry into
+(** [stats] (default false) collects solver telemetry into
     [outcome.stats]; [trace] installs a structured event sink
     ({!Ilp.Trace}) for the solve.  [explain] (default false) captures
     the solve's trace internally and replays it into
     [outcome.explain] — a caller-supplied [trace] sink still receives
     every event, replayed after the solve rather than live.
 
-    [sym], [jobs] and [steal] as in {!reference}.  [seed] is an
+    [sym] and [jobs] as in {!reference}.  [seed] is an
     already-synthesized data path (typically the previous k's design, or
     the reference circuit) whose session assignment is repaired for this
     [k] by {!Session_opt}.  The constructive heuristic's design remains
@@ -99,10 +87,8 @@ type sweep_row = {
 
 val sweep :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
-  ?sym:bool -> ?steal:bool -> ?stats:bool -> ?trace:Ilp.Trace.sink ->
-  ?explain:bool -> ?pricing:Ilp.Simplex.pricing ->
-  ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
-  Dfg.Problem.t ->
+  ?sym:bool -> ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool ->
+  ?learn:bool -> Dfg.Problem.t ->
   (reference * sweep_row list, string) result
 (** One design per k-test session, k = 1 .. N (N = number of modules) —
     Table 2 of the paper.  [time_limit] and [node_limit] apply per k;

@@ -1,10 +1,10 @@
 (** Fixed-size domain pool with a work queue and per-task cancellation.
 
-    The solve farm behind parallel k-sweeps and solver portfolios: a small
-    set of OCaml 5 domains pulls closures off a shared queue.  Tasks are
-    plain [unit -> 'a] thunks; each carries a cancellation token (a
-    [bool Atomic.t]) that cooperative workloads — notably
-    {!Solver.options.stop} — poll to abandon work early.
+    The domain pool behind {!Solver.solve_parallel}: a small set of
+    OCaml 5 domains pulls closures off a shared queue.  Tasks are plain
+    [unit -> 'a] thunks; each carries a cancellation token (a
+    [bool Atomic.t]) that cooperative workloads poll to abandon work
+    early.
 
     Results are retrieved with {!await}, which re-raises nothing: worker
     exceptions are captured and returned as [Error].  Await only from the

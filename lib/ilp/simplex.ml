@@ -574,30 +574,11 @@ let relax ?lower ?upper (model : Model.t) =
    any bound change — without a phase I).  Reduced costs do not depend on
    variable bounds, so the basis left behind by the previous solve stays
    dual feasible when branch-and-bound tightens bounds; [resolve] then
-   re-optimizes in a handful of dual pivots.
-
-   [stashes] are full basis images (status, basis, inverse, x_B, duals,
-   bounds, devex weights) indexed by slot; the solver stashes the parent
-   factorization once per branch and unstashes it for every later sibling,
-   replacing the per-child refactorization with a flat memcpy. *)
-type stash = {
-  sb_ncols : int;
-  sb_m : int;
-  sb_status : status array;
-  sb_basis : int array;
-  sb_binv : fa;
-  sb_xb : fa;
-  sb_d : fa;
-  sb_dw : fa;
-  sb_lo : fa;
-  sb_up : fa;
-  mutable sb_pivots : int;
-}
-
+   re-optimizes in a handful of dual pivots. *)
 type instance = {
   inst_n : int;  (* structural variables *)
   mutable st : state;
-  mutable pricing : pricing;
+  pricing : pricing;
   mutable pivots : int;  (* dual pivots since the last refactorization *)
   mutable total_pivots : int;  (* dual pivots over the instance's lifetime *)
   mutable total_iters : int;  (* dual simplex iterations (lifetime) *)
@@ -611,7 +592,6 @@ type instance = {
      re-solve to Bland. *)
   mutable stall : int;
   mutable stall_obj : float;
-  mutable stashes : stash option array;
 }
 
 let eps_dual = 1e-6
@@ -696,7 +676,6 @@ let instance_of_problem ?(pricing = Devex) (p : problem) =
         dw;
         stall = 0;
         stall_obj = neg_infinity;
-        stashes = [||];
       }
   end
 
@@ -707,7 +686,6 @@ let n_rows t = t.st.m
 let pivots t = t.total_pivots
 let iters t = t.total_iters
 let refactors t = t.total_refactors
-let set_pricing t p = t.pricing <- p
 
 (* Bound changes never touch the basis or the reduced costs; only the
    resting value of a nonbasic column moves, which shifts the basic
@@ -1158,8 +1136,6 @@ let add_row t terms rhs =
   t.alpha <- fa_make ncols';
   t.dw <- fa_make m';
   A1.fill t.dw 1.0;
-  (* stashed bases predate the new row; the dimension check in [unstash]
-     rejects them from now on *)
   recompute_xb t.st
 
 (* Reads the incrementally-maintained reduced costs — O(n), no fresh
@@ -1208,95 +1184,30 @@ let dual_bound t =
   done;
   if !usable then Some (dual_objective t -. !corr) else None
 
-(* --- basis stash slots: shared parent factorization for sibling LPs ---- *)
-
-(* A stash is a flat image of everything [resolve] warm-starts from.
-   Restoring one replaces the refactorize-from-scratch a child LP would
-   otherwise trigger after the search undoes and re-applies bounds, with
-   O(m^2 + ncols) blits.  Slots are capped (and gated on problem size) so
-   a deep search cannot hold unbounded basis copies alive. *)
-let stash_max_slots = 32
-let stash_max_m = 512
-
-let stash t ~slot =
-  let st = t.st in
-  if slot < 0 || slot >= stash_max_slots || st.m = 0 || st.m > stash_max_m then
-    false
-  else begin
-    if slot >= Array.length t.stashes then begin
-      let len =
-        min stash_max_slots (max (slot + 1) ((2 * Array.length t.stashes) + 4))
-      in
-      let a = Array.make len None in
-      Array.blit t.stashes 0 a 0 (Array.length t.stashes);
-      t.stashes <- a
-    end;
-    let sb =
-      match t.stashes.(slot) with
-      | Some sb when sb.sb_ncols = st.ncols && sb.sb_m = st.m -> sb
-      | _ ->
-          let sb =
-            {
-              sb_ncols = st.ncols;
-              sb_m = st.m;
-              sb_status = Array.make st.ncols At_lower;
-              sb_basis = Array.make st.m 0;
-              sb_binv = fa_make (st.m * st.m);
-              sb_xb = fa_make st.m;
-              sb_d = fa_make st.ncols;
-              sb_dw = fa_make st.m;
-              sb_lo = fa_make st.ncols;
-              sb_up = fa_make st.ncols;
-              sb_pivots = 0;
-            }
-          in
-          t.stashes.(slot) <- Some sb;
-          sb
-    in
-    Array.blit st.status 0 sb.sb_status 0 st.ncols;
-    Array.blit st.basis 0 sb.sb_basis 0 st.m;
-    fa_blit st.binv sb.sb_binv (st.m * st.m);
-    fa_blit st.xb sb.sb_xb st.m;
-    fa_blit t.d sb.sb_d st.ncols;
-    fa_blit t.dw sb.sb_dw st.m;
-    fa_blit st.lo sb.sb_lo st.ncols;
-    fa_blit st.up sb.sb_up st.ncols;
-    sb.sb_pivots <- t.pivots;
-    true
-  end
-
-let unstash t ~slot =
-  if slot < 0 || slot >= Array.length t.stashes then false
-  else
-    match t.stashes.(slot) with
-    | None -> false
-    | Some sb ->
-        let st = t.st in
-        if sb.sb_ncols <> st.ncols || sb.sb_m <> st.m then false
-        else begin
-          Array.blit sb.sb_status 0 st.status 0 st.ncols;
-          Array.blit sb.sb_basis 0 st.basis 0 st.m;
-          fa_blit sb.sb_binv st.binv (st.m * st.m);
-          fa_blit sb.sb_xb st.xb st.m;
-          fa_blit sb.sb_d t.d st.ncols;
-          fa_blit sb.sb_dw t.dw st.m;
-          fa_blit sb.sb_lo st.lo st.ncols;
-          fa_blit sb.sb_up st.up st.ncols;
-          t.pivots <- sb.sb_pivots;
-          true
-        end
-
+(* The bounds are part of the image: [refactorize] recomputes x_B from
+   the current bounds, and later [set_bounds] calls shift it
+   incrementally, so restoring the basis under whatever bounds the last
+   solve left would make the floating-point x_B — and with it degenerate
+   pivot choices — depend on that history. *)
 type snapshot = {
   snap_status : status array;
   snap_basis : int array;
   snap_ncols : int;
+  snap_lo : fa;
+  snap_up : fa;
 }
 
 let save t =
+  let n = t.st.ncols in
+  let lo = fa_make n and up = fa_make n in
+  fa_blit t.st.lo lo n;
+  fa_blit t.st.up up n;
   {
     snap_status = Array.copy t.st.status;
     snap_basis = Array.copy t.st.basis;
-    snap_ncols = t.st.ncols;
+    snap_ncols = n;
+    snap_lo = lo;
+    snap_up = up;
   }
 
 let restore t snap =
@@ -1304,6 +1215,8 @@ let restore t snap =
   else begin
     Array.blit snap.snap_status 0 t.st.status 0 t.st.ncols;
     Array.blit snap.snap_basis 0 t.st.basis 0 t.st.m;
+    fa_blit snap.snap_lo t.st.lo t.st.ncols;
+    fa_blit snap.snap_up t.st.up t.st.ncols;
     t.pivots <- 0;
     let ok = inst_refactorize t in
     if ok then compute_duals t;

@@ -69,9 +69,6 @@ val instance_of_model :
   Model.t ->
   instance option
 
-val set_pricing : instance -> pricing -> unit
-(** Switch the leaving-row rule for subsequent {!resolve} calls. *)
-
 val set_bounds : instance -> int -> lo:float -> up:float -> unit
 (** Update one structural variable's bounds.  Preserves dual feasibility. *)
 
@@ -89,7 +86,7 @@ val add_row : instance -> (int * float) list -> float -> unit
 (** [add_row t terms rhs] appends the cut [terms <= rhs] ([(var, coef)]
     pairs over structural variables).  The basis inverse is extended in
     O(m^2) with the new slack basic, keeping the basis dual feasible.
-    Stashed bases from before the call are invalidated. *)
+    {!save}d snapshots from before the call can no longer be restored. *)
 
 val nonbasic_reduced_costs : instance -> (int * bool * float) list
 (** After an [Optimal] {!resolve}: [(var, at_upper, d)] for each nonbasic
@@ -116,25 +113,14 @@ val refactors : instance -> int
 (** Cumulative basis refactorizations over the instance's lifetime
     (periodic refreshes, drift audits, restores and cold restarts). *)
 
-val stash : instance -> slot:int -> bool
-(** [stash t ~slot] copies the full warm-start image (basis, inverse,
-    primal values, reduced costs, bounds, devex weights) into a
-    preallocated slot, so every later sibling LP at a branch can restart
-    from the shared parent factorization instead of refactorizing.
-    Returns [false] (and stashes nothing) when [slot] is out of range or
-    the instance is too large for stashing to pay for itself. *)
-
-val unstash : instance -> slot:int -> bool
-(** [unstash t ~slot] restores the image saved by {!stash}.  O(m^2 + n)
-    blits, no refactorization.  Returns [false] when the slot is empty or
-    the instance's dimensions changed (e.g. {!add_row}) since the stash. *)
-
 type snapshot
-(** A saved basis (status + basic set), restorable after bound changes. *)
+(** A saved basis (status + basic set) together with the variable bounds
+    it was saved under. *)
 
 val save : instance -> snapshot
 
 val restore : instance -> snapshot -> bool
-(** Refactorizes from the snapshot's basis; [false] (instance unchanged in
-    the singular case) if the snapshot predates an {!add_row} or the basis
-    matrix has become singular. *)
+(** Reinstates the snapshot's bounds and refactorizes from its basis, so
+    the instance's state afterwards does not depend on the bound changes
+    and solves made since {!save}.  [false] if the snapshot predates an
+    {!add_row} or the basis matrix has become singular. *)

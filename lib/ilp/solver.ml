@@ -12,14 +12,12 @@ type outcome = {
   stats : Stats.t option;
 }
 
-type lp_mode = Lp_never | Lp_root | Lp_depth of int
-type restart_mode = Restarts_off | Restarts_luby
+type lp_mode = Lp_never | Lp_root
 
 type options = {
   time_limit : float option;
   node_limit : int option;
   lp : lp_mode;
-  pricing : Simplex.pricing;
   cuts : bool;
   branch_order : int list option;
   prefer_high : bool;
@@ -27,14 +25,11 @@ type options = {
   incumbent_start : int array option;
   verbose : bool;
   branch_window : int;
-  stop : bool Atomic.t option;
-  shared_incumbent : int Atomic.t option;
   sym : bool;
   orbits : Symmetry.orbit list;
   stats : bool;
   trace : Trace.sink option;
   learn : bool;
-  restarts : restart_mode;
 }
 
 let default =
@@ -42,7 +37,6 @@ let default =
     time_limit = None;
     node_limit = None;
     lp = Lp_root;
-    pricing = Simplex.Devex;
     cuts = true;
     branch_order = None;
     prefer_high = true;
@@ -50,24 +44,23 @@ let default =
     incumbent_start = None;
     verbose = false;
     branch_window = 16;
-    stop = None;
-    shared_incumbent = None;
     sym = true;
     orbits = [];
     stats = false;
     trace = None;
     learn = true;
-    restarts = Restarts_off;
   }
 
 exception Out_of_time
 
-(* Warm LP engine state: one persistent dual-simplex instance reused across
-   every node of the DFS.  The basis is never rewound with the trail — the
-   parent's optimal basis stays dual feasible under the child's bounds, so
-   each node re-solves in a few dual pivots from wherever the last node
-   left off.  [root_basis] is a recovery point (restored after repeated
-   numerical failures), not a per-node protocol. *)
+(* Warm LP engine state: one persistent dual-simplex instance reused by
+   every depth-0 node — the root, each re-dive after a root-asserting
+   nogood, and each subtree root in [solve_parallel].  The basis is never
+   rewound with the trail — an optimal basis stays dual feasible under
+   tightened bounds, so each re-solve takes a few dual pivots from
+   wherever the last one left off.  [root_basis] is a recovery point
+   (restored after repeated numerical failures and at every parallel
+   subtree start), not a per-node protocol. *)
 type lp_state = {
   inst : Simplex.instance;
   root_basis : Simplex.snapshot;
@@ -221,7 +214,6 @@ type search = {
   mutable cl_lit : int array;  (* clause under construction: literals ... *)
   mutable cl_level : int array;  (* ... and their decision levels *)
   mutable cl_len : int;
-  mutable conflict_budget : int;  (* conflicts left before a Luby restart *)
   mutable max_learnts : int;  (* clause-database cap; reduction trigger *)
   mutable conflicts_total : int;
   mutable learn_closed : bool;
@@ -393,22 +385,12 @@ let undo_to s m =
 (* --- limits ------------------------------------------------------------- *)
 
 let check_limits s =
-  (match s.opts.stop with
-  | Some flag when Atomic.get flag -> raise Out_of_time
-  | Some _ | None -> ());
   (match s.opts.time_limit with
   | Some tl when now () -. s.started > tl -> raise Out_of_time
   | Some _ | None -> ());
   match s.opts.node_limit with
   | Some nl when s.nodes >= nl -> raise Out_of_time
   | Some _ | None -> ()
-
-(* Best objective value known anywhere: the local incumbent, tightened by
-   solutions other portfolio members published through the shared atomic. *)
-let cutoff s =
-  match s.opts.shared_incumbent with
-  | Some a -> min s.incumbent_obj (Atomic.get a)
-  | None -> s.incumbent_obj
 
 (* --- branching activity ------------------------------------------------- *)
 
@@ -626,7 +608,7 @@ let obj_pass s =
     true
   end
   else begin
-    let c = cutoff s in
+    let c = s.incumbent_obj in
     if c = max_int then begin
       (* no cutoff: the row's huge rhs can't deduce anything — stay clean
          so the pending-work check below terminates *)
@@ -724,7 +706,7 @@ let propagate1 ?budget s v =
 
    Soundness notes:
    - Literals established at level 0 are dropped: root bounds only ever
-     tighten (across restarts too), so they stay facts.  In
+     tighten (across re-dives too), so they stay facts.  In
      [solve_parallel] the subtree path is applied at level 0, which makes
      every clause subtree-local — [reset_for_subtree] clears the database.
    - Bound changes without a reason row (decisions, orbit enforcement,
@@ -742,28 +724,10 @@ let propagate1 ?budget s v =
 
 exception Abort_dive
 (* Unwinds the current dive to the root without per-level undo (exactly
-   like [Out_of_time]); the restart driver rewinds the trail there. *)
-
-(* Conflicts per Luby unit; the i-th dive's budget is
-   [restart_base * luby i]. *)
-let restart_base = 512
+   like [Out_of_time]); the re-dive driver rewinds the trail there. *)
 
 (* Largest nogood worth storing, in literals. *)
 let clause_size_cap n = max 8 (min 16 (n / 4))
-
-(* MiniSat's Luby sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
-let luby i =
-  let x = ref i and size = ref 1 and seq = ref 0 in
-  while !size < !x + 1 do
-    incr seq;
-    size := (2 * !size) + 1
-  done;
-  while !size - 1 <> !x do
-    size := (!size - 1) / 2;
-    decr seq;
-    x := !x mod !size
-  done;
-  1 lsl !seq
 
 let cl_push s lit level =
   if s.cl_len = Array.length s.cl_lit then begin
@@ -985,8 +949,8 @@ let reduce_db s =
 
 (* 1-UIP analysis of the conflict [prop_run] just reported.  Appends the
    learned nogood and raises [Abort_dive] when the clause asserts at the
-   root (non-chronological backjump), when it proves the cutoff
-   unreachable outright, or when the dive's conflict budget is spent. *)
+   root (non-chronological backjump) or when it proves the cutoff
+   unreachable outright. *)
 let learn_from_conflict s =
   let ri = s.conflict_row in
   if ri >= 0 && s.opts.learn && s.decision_level > 0 && not s.no_stamp then begin
@@ -1114,11 +1078,6 @@ let learn_from_conflict s =
                  nodes = s.nodes;
                })
       | None -> ());
-      (* Only stored nogoods count against the restart budget: a restart
-         pays off exactly when the re-entered dive can prune against new
-         clauses, so a dive that stores nothing (all conflicts fat) must
-         keep going rather than repeat itself. *)
-      if store then s.conflict_budget <- s.conflict_budget - 1;
       if asserting && !assert_lv = 0 then begin
         (* root-asserting: after the driver re-propagates at the root the
            clause fixes at least one variable for good *)
@@ -1127,13 +1086,12 @@ let learn_from_conflict s =
         | None -> ());
         raise Abort_dive
       end
-      else if s.conflict_budget <= 0 then raise Abort_dive
     end
   end
 
 (* Analysis plus database housekeeping: right after a conflict no
    fixpoint is in flight, so this is a safe reduction point — without it
-   a restart-less dive would grow the database without bound. *)
+   a long dive would grow the database without bound. *)
 let handle_conflict s =
   learn_from_conflict s;
   if s.n_learned > s.max_learnts then reduce_db s
@@ -1262,7 +1220,7 @@ let reduced_cost_fix s c =
    fixings land; [false] means the root itself is exhausted under the
    cutoff, i.e. the incumbent is optimal. *)
 let probe_fixpoint s ~max_passes =
-  if cutoff s = max_int then true
+  if s.incumbent_obj = max_int then true
   else begin
     let alive = ref true in
     let changed = ref true in
@@ -1308,11 +1266,7 @@ let probe_fixpoint s ~max_passes =
     !alive
   end
 
-let use_lp_at s depth =
-  match s.opts.lp with
-  | Lp_never -> false
-  | Lp_root -> depth = 0
-  | Lp_depth d -> depth <= d
+let use_lp_at s depth = s.opts.lp = Lp_root && depth = 0
 
 (* In-tree probing parameters.  [probe_window] candidates are examined per
    probed node; each trial propagation is cut off after [probe_budget] row
@@ -1438,16 +1392,6 @@ let record_incumbent s =
       s.row_rhs.(s.n_rows) <- obj - 1;
       s.obj_dirty <- true
     end;
-    (match s.opts.shared_incumbent with
-    | Some a ->
-        (* lower the shared bound to [obj] unless someone got there first *)
-        let rec publish () =
-          let cur = Atomic.get a in
-          if obj < cur && not (Atomic.compare_and_set a cur obj) then
-            publish ()
-        in
-        publish ()
-    | None -> ());
     (match s.stats with
     | Some st ->
         Stats.incumbent st ~time_s:(now () -. s.started) ~nodes:s.nodes
@@ -1570,20 +1514,18 @@ let rec dfs s depth ~var ~value =
            })
   | None -> ());
   if s.nodes land 63 = 0 || use_lp_at s depth then check_limits s;
-  let c = cutoff s in
+  let c = s.incumbent_obj in
   if c < max_int && objective_min_activity s >= c then
     pruned s depth Trace.Cutoff (objective_min_activity s)
   else if
     depth > 0 && depth <= s.probe_depth && c < max_int && probe_prune s
   then pruned s depth Trace.Probed max_int
-    (* Below the root an LP bound only prunes against an incumbent; skip
-       the solve while there is none. *)
-  else if use_lp_at s depth && (depth = 0 || c < max_int) then begin
+  else if use_lp_at s depth then begin
     match lp_bound s with
     | Bound_infeasible -> pruned s depth Trace.Lp_infeasible max_int
     | Bound_none -> branch s depth
     | Bound b ->
-        if depth = 0 && b > s.root_bound then begin
+        if b > s.root_bound then begin
           s.root_bound <- b;
           match s.opts.trace with
           | Some tr ->
@@ -1607,39 +1549,12 @@ and branch s depth =
   | None -> record_incumbent s
   | Some v ->
       let lo = s.lb.(v) and hi = s.ub.(v) in
-      (* Batched sibling LPs: when the children will run LP bounds, stash
-         the engine's current (parent) factorization once and restore it
-         before every later sibling, so each child re-solves from the
-         shared parent basis instead of from wherever the previous
-         sibling's subtree drifted the engine — fewer dual pivots and no
-         recovery refactorizations mid-branch. *)
-      let batch =
-        match s.lp_st with
-        | Some st when st.fails < 50 && use_lp_at s (depth + 1) ->
-            Simplex.stash st.inst ~slot:depth
-        | Some _ | None -> false
-      in
-      let first = ref true in
-      let enter () =
-        if !first then first := false
-        else if batch then begin
-          match s.lp_st with
-          | Some st when Simplex.unstash st.inst ~slot:depth -> (
-              match s.stats with
-              | Some t -> t.Stats.lp_batched <- t.Stats.lp_batched + 1
-              | None -> ())
-          | Some _ | None -> ()
-        end
-      in
       let try_value value =
         let m = mark s in
         s.decision_level <- depth + 1;
         set_lb s v value;
         set_ub s v value;
-        if propagate1 s v then begin
-          enter ();
-          dfs s (depth + 1) ~var:v ~value
-        end
+        if propagate1 s v then dfs s (depth + 1) ~var:v ~value
         else handle_conflict s;
         undo_to s m;
         s.decision_level <- depth
@@ -1668,55 +1583,37 @@ and branch s depth =
         let m = mark s in
         s.decision_level <- depth + 1;
         set_ub s v mid;
-        if propagate1 s v then begin
-          enter ();
-          dfs s (depth + 1) ~var:v ~value:mid
-        end
+        if propagate1 s v then dfs s (depth + 1) ~var:v ~value:mid
         else handle_conflict s;
         undo_to s m;
         let m = mark s in
         set_lb s v (mid + 1);
-        if propagate1 s v then begin
-          enter ();
-          dfs s (depth + 1) ~var:v ~value:(mid + 1)
-        end
+        if propagate1 s v then dfs s (depth + 1) ~var:v ~value:(mid + 1)
         else handle_conflict s;
         undo_to s m;
         s.decision_level <- depth
       end
 
-(* Restart-driven search: dive from the root under a Luby conflict
-   budget.  [Abort_dive] (root-asserting nogood, empty nogood, or spent
-   budget) unwinds here; the driver rewinds the trail, reduces the
-   learned database while no reason can dangle, re-propagates the root —
-   newly learned clauses fix their root implications permanently, which
-   is the non-chronological backjump — and dives again.  Learned clauses,
-   the incumbent and the warm LP engine (basis and devex weights) all
-   survive the restart.  [root_mark] tracks the root trail watermark as
-   root fixings accumulate. *)
+(* Re-dive driver.  [Abort_dive] (root-asserting or empty nogood) unwinds
+   here; the driver rewinds the trail, reduces the learned database while
+   no reason can dangle, re-propagates the root — newly learned clauses
+   fix their root implications permanently, which is the
+   non-chronological backjump — and dives again.  Learned clauses, the
+   incumbent and the warm LP engine (basis and devex weights) all survive
+   the re-dive.  [root_mark] tracks the root trail watermark as root
+   fixings accumulate. *)
 let search_drive s root_mark =
-  let dive = ref 0 in
   let again = ref true in
   while !again do
     again := false;
-    s.conflict_budget <-
-      (match s.opts.restarts with
-      | Restarts_off -> max_int
-      | Restarts_luby -> restart_base * luby !dive);
     try dfs s 0 ~var:(-1) ~value:0
     with Abort_dive ->
-      let was_restart = s.conflict_budget <= 0 in
       undo_to s !root_mark;
       s.decision_level <- 0;
       if not s.learn_closed then begin
         reduce_db s;
         if propagate s None then begin
           root_mark := mark s;
-          incr dive;
-          (match s.stats with
-          | Some st when was_restart ->
-              st.Stats.restarts <- st.Stats.restarts + 1
-          | Some _ | None -> ());
           (match s.opts.trace with
           | Some tr ->
               Trace.emit tr ~time_s:(now () -. s.started)
@@ -1742,7 +1639,7 @@ let search_drive s root_mark =
    the possibly-strengthened model and the warm instance (already hot on
    the cut-augmented root LP) for the search to keep using. *)
 let root_cut_loop ?deadline ?stats ?started ~(options : options) model =
-  match Simplex.instance_of_model ~pricing:options.pricing model with
+  match Simplex.instance_of_model model with
   | None -> (model, None)
   | Some inst ->
       let t0 = match started with Some t -> t | None -> now () in
@@ -1752,9 +1649,6 @@ let root_cut_loop ?deadline ?stats ?started ~(options : options) model =
         incr rounds;
         (match deadline with
         | Some d when now () > d -> go := false
-        | Some _ | None -> ());
-        (match options.stop with
-        | Some flag when Atomic.get flag -> go := false
         | Some _ | None -> ());
         if !go then
           match Simplex.resolve ~max_iters:20_000 inst with
@@ -1880,7 +1774,7 @@ let cut_phase ?stats ~(options : options) ~started model =
       Option.map (fun tl -> started +. (0.25 *. tl)) options.time_limit
     in
     root_cut_loop ?deadline ?stats ~started ~options model
-  else (model, Simplex.instance_of_model ~pricing:options.pricing model)
+  else (model, Simplex.instance_of_model model)
 
 (* Build the full search state for [model]: normalized rows, occurrence
    lists, incremental activities, the warm LP engine, and the warm-start
@@ -2152,7 +2046,6 @@ let build_search ?stats ~(options : options) ~started model warm_inst =
       cl_lit = Array.make 64 0;
       cl_level = Array.make 64 0;
       cl_len = 0;
-      conflict_budget = max_int;
       max_learnts = max_learnts_init n;
       conflicts_total = 0;
       learn_closed = false;
@@ -2325,16 +2218,12 @@ let solve ?(options = default) model = fst (solve_internal ~options model)
    Determinism is by subtree isolation.  Each subtree is solved from a
    per-subtree reset of the worker's search state (activities, probe
    state, row stamps, incumbent re-seeded from the deterministic root
-   phase, the simplex engine restored to its root basis), so its result
-   depends only on the subtree, never on the schedule.  The shared atomic
-   incumbent is consulted exactly once per subtree, to skip it wholesale:
-   an integer bound strictly above the shared objective proves the
-   subtree's own optimum is strictly worse than the final best, so the
-   skip can never discard a winner or even a tie.  The final solution is
-   the minimum over all subtree results (and the root-phase incumbent)
-   under the (objective, lexicographic solution) order — independent of
-   which worker finished first, so [~jobs:1] and [~jobs:4] return
-   identical outcomes. *)
+   phase, the simplex engine restored to its root basis and bounds), so
+   its result depends only on the subtree, never on the schedule.  The
+   final solution is the minimum over all subtree results (and the
+   root-phase incumbent) under the (objective, lexicographic solution)
+   order — independent of which worker finished first, so [~jobs:1] and
+   [~jobs:4] return identical outcomes. *)
 
 (* Per-subtree reset: everything schedule- or history-dependent goes back
    to a canonical state derived from the deterministic root phase.  The
@@ -2366,7 +2255,6 @@ let reset_for_subtree s ~seed =
   s.decision_level <- 0;
   s.conflicts_total <- 0;
   s.learn_closed <- false;
-  s.conflict_budget <- max_int;
   s.max_learnts <- max_learnts_init s.n;
   enqueue_all_orbits s;
   match s.lp_st with
@@ -2432,10 +2320,6 @@ let expand_frontier s ~target =
      done
    with Out_of_time -> aborted := true);
   (List.of_seq (Queue.to_seq q), !aborted)
-
-let rec publish a obj =
-  let cur = Atomic.get a in
-  if obj < cur && not (Atomic.compare_and_set a cur obj) then publish a obj
 
 let solve_parallel ?(options = default) ~jobs model =
   let jobs = max 1 (min jobs 64) in
@@ -2577,16 +2461,11 @@ let solve_parallel ?(options = default) ~jobs model =
         let stolen = Atomic.make 0 in
         let incomplete = Atomic.make false in
         let results = Array.make n_sub None in
-        (* Workers run with no shared incumbent: inside a subtree only the
-           deterministic seed prunes, so every subtree's outcome — and with
-           it the node count and depth histogram — is a pure function of
-           the subtree, identical for any [jobs]. *)
-        let worker_opts = { options with shared_incumbent = None } in
         let work idx =
           let winst =
             if options.lp = Lp_never then None
             else
-              match Simplex.instance_of_model ~pricing:options.pricing model with
+              match Simplex.instance_of_model model with
               | None -> None
               | Some inst ->
                   (* pay for the root LP once per worker so the saved root
@@ -2595,7 +2474,7 @@ let solve_parallel ?(options = default) ~jobs model =
                   Some inst
           in
           let wstats = if options.stats then Some (Stats.create ()) else None in
-          let ws = build_search ?stats:wstats ~options:worker_opts ~started model winst in
+          let ws = build_search ?stats:wstats ~options ~started model winst in
           let total_nodes = ref 0 in
           (* Capture and zero the per-search node counter, so each subtree
              gets the full node budget.  A cumulative budget would make a
@@ -2607,14 +2486,10 @@ let solve_parallel ?(options = default) ~jobs model =
             total_nodes := !total_nodes + ws.nodes;
             ws.nodes <- 0
           in
-          (* The wall clock and the stop token, unlike the node budget,
-             do not reset per subtree: once they fire, draining the rest
-             of the queue is pointless. *)
+          (* The wall clock, unlike the node budget, does not reset per
+             subtree: once it fires, draining the rest of the queue is
+             pointless. *)
           let hard_stop () =
-            (match ws.opts.stop with
-            | Some flag -> Atomic.get flag
-            | None -> false)
-            ||
             match ws.opts.time_limit with
             | Some tl -> now () -. ws.started > tl
             | None -> false
@@ -2641,8 +2516,8 @@ let solve_parallel ?(options = default) ~jobs model =
                  let seeds = List.map (fun (v, _, _) -> v) path in
                  let open_ = propagate ws (Some seeds) in
                  if open_ then begin
-                   (* the subtree's own root watermark: restarts inside the
-                      dive rewind here, keeping the path assumptions *)
+                   (* the subtree's own root watermark: re-dives inside the
+                      subtree rewind here, keeping the path assumptions *)
                    let sub_mark = ref (mark ws) in
                    search_drive ws sub_mark
                  end
@@ -2709,9 +2584,6 @@ let solve_parallel ?(options = default) ~jobs model =
                 | Some _ | None -> best := Some (obj, x))
             | None -> ())
           results;
-        (match (options.shared_incumbent, !best) with
-        | Some a, Some (obj, _) -> publish a obj
-        | _ -> ());
         let complete = not (Atomic.get incomplete) in
         finalize_stats s0;
         let stats =
@@ -2741,19 +2613,10 @@ let solve_parallel ?(options = default) ~jobs model =
           ~bound:root_bound ~stats !best
       end
 
-(* Shared cut generation for portfolio races: one cut loop, every member
-   branches on the strengthened model (with its own private instance). *)
-let with_root_cuts ?(options = default) model =
-  if options.lp = Lp_never || not options.cuts then model
-  else begin
-    let options = reroute_verbose options in
-    let deadline =
-      Option.map (fun tl -> now () +. (0.25 *. tl)) options.time_limit
-    in
-    fst (root_cut_loop ?deadline ~options model)
-  end
-
 (* --- test + micro-benchmark hooks --------------------------------------- *)
+
+let with_root_cuts ?(options = default) model =
+  fst (cut_phase ~options ~started:(now ()) model)
 
 (* A bare search state: no LP, no cuts, no symmetry — just the normalized
    rows and the incremental propagation machinery. *)

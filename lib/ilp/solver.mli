@@ -3,7 +3,7 @@
     Depth-first search over variable domains with:
     - bound-tightening (pseudo-boolean) propagation at every node,
     - an objective cutoff row updated whenever the incumbent improves,
-    - optional LP-relaxation bounding via {!Simplex} (root and/or periodic),
+    - optional LP-relaxation bounding at the root via {!Simplex},
     - a caller-supplied branching order and warm-start solution,
     - wall-clock time limit with best-found-so-far reporting, mirroring the
       24-hour CPU cap the paper applied to CPLEX.
@@ -46,32 +46,11 @@ type outcome = {
 type lp_mode =
   | Lp_never
   | Lp_root  (** LP bound at the root node only *)
-  | Lp_depth of int  (** LP bound at nodes of depth <= the given value *)
-
-type restart_mode =
-  | Restarts_off
-      (** a single dive (default); learned clauses still propagate.
-          Asserting nogoods keep their effect: a root-asserting clause
-          aborts the dive and fixes its variable for good during the
-          root re-propagation, a non-chronological backjump. *)
-  | Restarts_luby
-      (** additionally abandon the dive after [512 * luby(i)] {e stored}
-          conflicts and re-enter from the root, keeping learned clauses,
-          the incumbent and the warm LP engine (basis and devex weights).
-          Off by default: in this depth-first branch-and-bound a restart
-          replays the whole prefix of the dive, and measured on the bench
-          suite the replay cost consistently outweighs the reordering
-          benefit (it loses proofs that {!Restarts_off} closes). *)
 
 type options = {
   time_limit : float option;  (** seconds *)
   node_limit : int option;
   lp : lp_mode;
-  pricing : Simplex.pricing;
-      (** leaving-row pricing rule for every warm LP engine this solve
-          creates (root cut loop, node bounding, parallel workers):
-          [Devex] (default) reference-weight pricing, or [Dantzig]
-          most-violated.  Both fall back to Bland's rule on stalls. *)
   cuts : bool;
       (** run the root cutting-plane loop ({!Cuts}: extended cover +
           clique cuts) before branching, when [lp] is not [Lp_never].
@@ -108,16 +87,6 @@ type options = {
           activity) among the first [branch_window] unfixed variables of
           the branch order.  [1] = purely static order; larger windows
           let conflict activity reorder locally.  Default 16. *)
-  stop : bool Atomic.t option;
-      (** cooperative cancellation: when the flag turns true the search
-          stops at the next limit check and reports best-found-so-far,
-          exactly like a time limit.  Used by {!Pool} tasks. *)
-  shared_incumbent : int Atomic.t option;
-      (** cross-solver objective bound for portfolio races: every new
-          incumbent's objective is published here (monotonically
-          decreasing), and values published by other solvers tighten this
-          search's cutoff.  Only ever written with true solution
-          objectives, so pruning against it preserves completeness. *)
   sym : bool;
       (** master switch for symmetry breaking (default true): when off,
           [orbits] is ignored and no detection runs *)
@@ -146,21 +115,17 @@ type options = {
           propagation fixpoint fails, derive a pseudo-boolean nogood over
           bound literals of binary variables from the reason-annotated
           trail and append it to the row block, where the unchanged
-          propagation kernel enforces it everywhere below the root.  In
-          {!solve_parallel} the databases are subtree-local, preserving
-          jobs-invariance. *)
-  restarts : restart_mode;
-      (** restart policy (default [Restarts_off]); only meaningful
-          together with [learn] — without learned clauses a restarted
-          dive would repeat the previous one exactly, so the budget is
-          not even tracked. *)
+          propagation kernel enforces it everywhere below the root.  A
+          nogood that asserts at the root aborts the dive and fixes its
+          variable for good during the root re-propagation, a
+          non-chronological backjump.  In {!solve_parallel} the databases
+          are subtree-local, preserving jobs-invariance. *)
 }
 
 val default : options
-(** No limits, [Lp_root], devex pricing, cuts on, no order, prefer 1, no
-    warm start, quiet, no cancellation token, no shared incumbent,
-    symmetry breaking on with auto-detected orbits, no stats, no
-    trace, conflict learning on, restarts off. *)
+(** No limits, [Lp_root], cuts on, no order, prefer 1, no warm start,
+    quiet, symmetry breaking on with auto-detected orbits, no stats, no
+    trace, conflict learning on. *)
 
 val solve : ?options:options -> Model.t -> outcome
 
@@ -189,19 +154,18 @@ val solve_parallel : ?options:options -> jobs:int -> Model.t -> outcome
     (Optimal vs Feasible) and the node/stolen counters may vary across
     [jobs], and only when a limit actually fires. *)
 
+(** {2 Test and micro-benchmark hooks} *)
+
 val with_root_cuts : ?options:options -> Model.t -> Model.t
-(** The model strengthened by one root cutting-plane loop, for callers
-    that share cuts across several solves ({!Portfolio} runs this once
-    and hands every member the same strengthened model with
-    [cuts = false]).  Returns the model unchanged when [options] disables
-    cuts or LP bounding. *)
+(** The model strengthened by one root cutting-plane loop, so a property
+    test can check that the cuts keep every 0-1 feasible point.  Returns
+    the model unchanged when [options] disables cuts or LP bounding. *)
 
-(** {2 Test and micro-benchmark hooks}
-
-    Thin windows into the propagation kernel, for property tests and the
-    [bench perf] micro-benchmark.  Both build a bare search state (no LP,
-    no cuts, no symmetry) over the model's normalized Le rows: Ge rows
-    negated, Eq rows split into a Le pair in model order. *)
+(** The next two are thin windows into the propagation kernel, for
+    property tests and the [bench perf] micro-benchmark.  Both build a
+    bare search state (no LP, no cuts, no symmetry) over the model's
+    normalized Le rows: Ge rows negated, Eq rows split into a Le pair in
+    model order. *)
 
 val row_min_activities :
   ?lower:int array -> ?upper:int array -> Model.t -> int array

@@ -38,7 +38,6 @@ type t = {
   mutable learned : int;  (** 1-UIP nogoods appended to the clause database *)
   mutable deleted : int;
       (** learned rows dropped by activity/LBD database reduction *)
-  mutable restarts : int;  (** Luby-scheduled re-dives from the root *)
   mutable backjumps : int;
       (** root-asserting conflicts that aborted the current dive *)
   mutable backjump_depth : int;
@@ -62,9 +61,6 @@ type t = {
   mutable lp_refactors : int;
       (** basis refactorizations (periodic refreshes, drift audits,
           restores) of the warm engine *)
-  mutable lp_batched : int;
-      (** sibling node LPs re-solved from a stashed parent factorization
-          instead of the previous sibling's drifted basis *)
   mutable rc_fixings : int;  (** variables fixed by reduced cost *)
   mutable orbit_fixings : int;  (** bound changes by orbital fixing *)
   mutable incumbents : (float * int * int) list;

@@ -493,6 +493,47 @@ let test_solve_parallel_determinism () =
         (r.Ilp.Solver.solution = r0.Ilp.Solver.solution))
     runs
 
+(* A seeded 5-operation kernel on which [solve_parallel]'s node counts
+   once depended on which subtrees a worker had solved before: the warm
+   LP engine was restored to its root basis but kept the last subtree's
+   bounds.  Repeated runs and every worker count must agree. *)
+let tiny_kernel =
+  {
+    Hls.Kernel.kname = "tiny16";
+    nodes =
+      [|
+        { kind = Dfg.Op_kind.Sub; a = Input "in2"; b = Input "in0" };
+        { kind = Sub; a = Input "in1"; b = Input "in0" };
+        { kind = Mul; a = Ref 1; b = Const 3 };
+        { kind = Mul; a = Ref 1; b = Const 7 };
+        { kind = Add; a = Ref 0; b = Ref 1 };
+      |];
+    outputs = [ ("out0", 4); ("out1", 3); ("out2", 2) ];
+  }
+
+let test_parallel_node_counts_repeatable () =
+  let p =
+    get
+      (Hls.Schedule.list_schedule tiny_kernel
+         ~modules:[ Dfg.Fu_kind.multiplier; Dfg.Fu_kind.alu ])
+  in
+  let node_counts jobs =
+    let _, rows = get (Advbist.Synth.sweep ~jobs p) in
+    List.map
+      (fun (r : Advbist.Synth.sweep_row) ->
+        check_bool (Printf.sprintf "jobs=%d k=%d optimal" jobs r.k) true
+          r.outcome.Advbist.Synth.optimal;
+        (r.k, r.outcome.Advbist.Synth.nodes))
+      rows
+  in
+  let first = node_counts 2 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "node counts at jobs=%d" jobs)
+        first (node_counts jobs))
+    [ 2; 2; 3; 4 ]
+
 (* With more registers than the clique pins, the spare registers are
    interchangeable: Encoding.orbits must surface them (exactly verified),
    and solving with those orbits must reach the same optimum. *)
@@ -587,7 +628,23 @@ let test_objective_lower_bound_sound () =
        (lb + e.Advbist.Encoding.base_area)
        o.Advbist.Synth.area)
     true
-    (lb + e.Advbist.Encoding.base_area <= o.Advbist.Synth.area)
+    (lb + e.Advbist.Encoding.base_area <= o.Advbist.Synth.area);
+  (* reference (k = 0) encodings: no BIST term, and no division by k *)
+  List.iter
+    (fun (name, p) ->
+      let n_regs = Dfg.Problem.min_registers p in
+      let e = Advbist.Encoding.build_reference p ~n_regs in
+      let lb = Advbist.Encoding.objective_lower_bound e in
+      let r = get (Advbist.Synth.reference ~time_limit:60.0 p) in
+      check_bool (name ^ " reference optimal") true r.Advbist.Synth.ref_optimal;
+      check_bool
+        (Printf.sprintf "%s reference bound below optimum (0 <= %d <= %d)" name
+           (lb + e.Advbist.Encoding.base_area)
+           r.Advbist.Synth.ref_area)
+        true
+        (lb >= 0
+        && lb + e.Advbist.Encoding.base_area <= r.Advbist.Synth.ref_area))
+    [ ("fig1", fig1); ("tseng", tseng) ]
 
 (* On a limit-hit solve the reported gap must reflect the structural bound:
    strictly below 100, and consistent with the outcome's own area. *)
@@ -621,20 +678,37 @@ let load_committed_snapshot () =
 
 let test_bench_snapshot_parse_committed () =
   let t = load_committed_snapshot () in
-  check_bool "committed snapshot is schema v2..v6" true
-    (t.Advbist.Bench_snapshot.version >= 2
-    && t.Advbist.Bench_snapshot.version <= 6);
+  check_bool "committed snapshot is schema v6..v7" true
+    (t.Advbist.Bench_snapshot.version >= 6
+    && t.Advbist.Bench_snapshot.version <= 7);
   List.iter
     (fun (c : Advbist.Bench_snapshot.circuit) ->
       List.iter
         (fun (r : Advbist.Bench_snapshot.row) ->
           check_bool
-            (Printf.sprintf "%s k=%d throughput derived when absent" c.circuit
-               r.k)
+            (Printf.sprintf "%s k=%d throughput present" c.circuit r.k)
             true
             (r.time_s <= 0.0 || r.nodes_per_sec > 0.0 || r.nodes = 0))
         c.rows)
     t.Advbist.Bench_snapshot.circuits;
+  (* only schemas v6 and v7 are read; v6's config still names portfolio *)
+  let minimal version config =
+    Printf.sprintf
+      "{ \"schema\": \"advbist-solver-bench/%d\", \"commit\": \"x\", \
+       \"budget_s\": 2, \"jobs\": 1, \"config\": %s, \"circuits\": [], \
+       \"total_wall_s\": 0 }"
+      version config
+  in
+  let v6_config = "{ \"portfolio\": false, \"cuts\": false, \"lp\": \"r\" }" in
+  let v7_config = "{ \"cuts\": false, \"lp\": \"r\" }" in
+  List.iter
+    (fun (version, config, ok) ->
+      check_bool
+        (Printf.sprintf "schema v%d %s" version
+           (if ok then "parses" else "is rejected"))
+        ok
+        (Result.is_ok (Advbist.Bench_snapshot.of_string (minimal version config))))
+    [ (5, v6_config, false); (6, v6_config, true); (7, v7_config, true) ];
   check_bool "snapshot has circuits" true
     (t.Advbist.Bench_snapshot.circuits <> []);
   check_bool "tseng is benched" true
@@ -648,6 +722,7 @@ let test_bench_snapshot_parse_committed () =
         true (c.rows <> []))
     t.Advbist.Bench_snapshot.circuits
 
+(* The committed v6 snapshot re-renders as v7, and v7 is a fixpoint. *)
 let test_bench_snapshot_roundtrip () =
   let t = load_committed_snapshot () in
   let s1 = Advbist.Bench_snapshot.to_string t in
@@ -655,7 +730,7 @@ let test_bench_snapshot_roundtrip () =
   | Error msg -> Alcotest.failf "re-rendered snapshot does not parse: %s" msg
   | Ok t' ->
       Alcotest.(check int)
-        "writer always emits schema v6" 6 t'.Advbist.Bench_snapshot.version;
+        "writer always emits schema v7" 7 t'.Advbist.Bench_snapshot.version;
       Alcotest.(check string)
         "render/parse/render is a fixpoint" s1
         (Advbist.Bench_snapshot.to_string t')
@@ -891,7 +966,7 @@ let test_bench_snapshot_emits_empty_prune_shares () =
                c.rows)
            t'.circuits)
 
-(* v6 conflict counters survive a render/parse round trip, and a >20%
+(* Conflict counters survive a render/parse round trip, and a >20%
    conflicts-per-node increase on a measured baseline is warned (never a
    failure: density shifts explain regressions, they do not gate). *)
 let test_bench_diff_flags_conflict_density () =
@@ -916,12 +991,11 @@ let test_bench_diff_flags_conflict_density () =
           conflicts = int_of_float (float_of_int r.nodes *. density);
           learned = 17;
           deleted = 3;
-          restarts = 1;
         })
   in
   let baseline = with_counters 0.10 in
   (match of_string (to_string baseline) with
-  | Error msg -> Alcotest.failf "v6 snapshot does not parse: %s" msg
+  | Error msg -> Alcotest.failf "v7 snapshot does not parse: %s" msg
   | Ok t' ->
       check_bool "conflict counters round-trip" true
         (List.exists
@@ -929,7 +1003,7 @@ let test_bench_diff_flags_conflict_density () =
              List.exists
                (fun (r : row) ->
                  c.circuit = circuit && r.k = k && r.learned = 17
-                 && r.deleted = 3 && r.restarts = 1)
+                 && r.deleted = 3)
                c.rows)
            t'.circuits));
   let current = with_counters 0.15 in
@@ -959,6 +1033,8 @@ let () =
             (test_parallel_sweep_deterministic "paulin");
           Alcotest.test_case "solve_parallel jobs 1..4 (fig1)" `Quick
             test_solve_parallel_determinism;
+          Alcotest.test_case "node counts repeatable (tiny16)" `Quick
+            test_parallel_node_counts_repeatable;
           Alcotest.test_case "cross-k seeding (fig1)" `Quick
             test_sweep_cross_k_seeding;
         ] );
