@@ -68,7 +68,9 @@ perfbench-check:
 	done
 
 # Kernel micro-benchmark: simplex re-solve iterations/s and propagation
-# fixpoint sweeps/s on a fixed instance (tseng k=1).  Non-gating — rates
+# fixpoint sweeps/s on a fixed instance (tseng k=1), plus the root cut
+# loop on the iir3 reference encoding (cold root LP iterations/s and the
+# wall time of Solver.with_root_cuts).  Non-gating — rates
 # are machine-dependent — but the report is kept in _build/perf_micro.txt
 # so CI can upload it next to bench_diff.txt for trend eyeballing.
 perf:

@@ -655,16 +655,45 @@ let smoke () =
 (* ------------------------------------------------- kernel micro-benchmark *)
 
 (* `perf` arm: allocation-free kernel rates on a fixed instance (tseng
-   k=1), for the CI artifact next to bench_diff.txt.  Two numbers:
+   k=1), for the CI artifact next to bench_diff.txt.  Three numbers:
 
    - simplex re-solve iterations/s: the warm dual-simplex engine is
      driven through a deterministic cycle of bound tightenings and
      re-solves (the node-LP access pattern, minus the search around it);
    - propagation sweeps/s: full worklist fixpoints over the presolved
-     model's rows via Ilp.Solver.propagation_rate.
+     model's rows via Ilp.Solver.propagation_rate;
+   - the root cut loop on the iir3 reference encoding (the largest LP of
+     the `ilp_cli solve` workload): iterations/s of the cold root
+     re-solve, and the wall time of one Ilp.Solver.with_root_cuts.
 
    Non-gating by design: rates are machine-dependent, so the artifact is
    for eyeballing trends across CI runs, not a pass/fail check. *)
+let cut_loop_rate () =
+  match Circuits.Suite.find "iir3" with
+  | None -> prerr_endline "perf: iir3 circuit missing"
+  | Some p -> (
+      let e =
+        Advbist.Encoding.build_reference p ~n_regs:(Dfg.Problem.min_registers p)
+      in
+      let model = e.Advbist.Encoding.model in
+      match Ilp.Simplex.instance_of_model model with
+      | None -> Printf.printf "perf: cut loop unavailable (unbounded vars)\n"
+      | Some inst ->
+          let t0 = Unix.gettimeofday () in
+          ignore (Ilp.Simplex.resolve ~max_iters:20_000 inst);
+          let dt = Unix.gettimeofday () -. t0 in
+          let iters = Ilp.Simplex.iters inst in
+          Printf.printf
+            "perf: root LP (iir3 ref, %d rows) %d iters in %.3fs = %.0f \
+             iters/s\n"
+            (Ilp.Simplex.n_rows inst) iters dt
+            (float_of_int iters /. dt);
+          let t0 = Unix.gettimeofday () in
+          let cut = Ilp.Solver.with_root_cuts model in
+          Printf.printf "perf: root cut loop (iir3 ref) %d cuts in %.3fs\n"
+            (Ilp.Model.n_constraints cut - Ilp.Model.n_constraints model)
+            (Unix.gettimeofday () -. t0))
+
 let perf () =
   let p =
     match Circuits.Suite.find "tseng" with
@@ -712,7 +741,8 @@ let perf () =
   (* propagation: full fixpoint sweeps on the same model *)
   let sweeps = 2_000 in
   let rate = Ilp.Solver.propagation_rate model ~sweeps in
-  Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate
+  Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate;
+  cut_loop_rate ()
 
 (* Snapshot regression diff: FAIL on area/optimality/coverage losses,
    warn on node-count, gap, time and phase-share drift. *)

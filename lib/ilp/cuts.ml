@@ -18,7 +18,7 @@
      through a conflict graph to catch cliques spanning rows.
 
    Cuts are returned over the original variables (complements expanded), as
-   integer <=-rows ready for Model.add_le / Simplex.add_row. *)
+   integer <=-rows ready for Model.add_le / Simplex.add_rows. *)
 
 type cut = { terms : (int * int) list; rhs : int }
 

@@ -69,12 +69,15 @@ type state = {
   status : status array;
   basis : int array;  (* row -> column *)
   binv : fa;  (* m*m, row-major *)
-  fac : fa;  (* m*m refactorization scratch: working copy of B *)
-  finv : fa;  (* m*m refactorization scratch: inverse under construction *)
+  mutable fac : fa;
+      (* refactorization scratch (working copy of B), m*m once
+         [refactorize] has run; allocated there, not per state *)
+  mutable finv : fa;  (* refactorization scratch: inverse under construction *)
   xb : fa;  (* values of basic variables by row *)
   work : fa;  (* scratch, length m (pivot column w = Binv A_j) *)
   ywork : fa;  (* scratch, length m (duals y, rhs residuals) *)
   iwork : int array;  (* scratch, length ncols (column -> basis row) *)
+  nzk : int array;  (* scratch, length m (nonzero indices of a pivot row) *)
 }
 
 let[@inline] nonbasic_value st j =
@@ -83,9 +86,9 @@ let[@inline] nonbasic_value st j =
   | At_upper -> fget st.up j
   | Basic -> assert false
 
-(* Build a flat state from per-column sparse entries.  The basis inverse
-   starts as the identity; callers refactorize or fill it themselves. *)
-let make_state ~m ~ncols ~lo ~up ~cols ~rhs ~cost ~status ~basis =
+(* CSC triplet of per-column sparse entries. *)
+let csc_of_cols cols =
+  let ncols = Array.length cols in
   let nnz = Array.fold_left (fun acc c -> acc + Array.length c) 0 cols in
   let col_ptr = Array.make (ncols + 1) 0 in
   let col_row = Array.make (max nnz 1) 0 in
@@ -101,6 +104,12 @@ let make_state ~m ~ncols ~lo ~up ~cols ~rhs ~cost ~status ~basis =
       cols.(j)
   done;
   col_ptr.(ncols) <- !k;
+  (col_ptr, col_row, col_val)
+
+(* Build a flat state around a CSC matrix.  The basis inverse starts as
+   the identity; callers refactorize or fill it themselves. *)
+let make_state ~m ~ncols ~lo ~up ~csc:(col_ptr, col_row, col_val) ~rhs ~cost
+    ~status ~basis =
   let binv = fa_make (m * m) in
   for i = 0 to m - 1 do
     fset binv ((i * m) + i) 1.0
@@ -118,12 +127,13 @@ let make_state ~m ~ncols ~lo ~up ~cols ~rhs ~cost ~status ~basis =
     status;
     basis;
     binv;
-    fac = fa_make (m * m);
-    finv = fa_make (m * m);
+    fac = fa_make 0;
+    finv = fa_make 0;
     xb = fa_make m;
     work = fa_make m;
     ywork = fa_make m;
     iwork = Array.make (max ncols 1) (-1);
+    nzk = Array.make (max m 1) 0;
   }
 
 (* x_B = Binv (b - sum over nonbasic columns of A_j x_j). *)
@@ -153,10 +163,19 @@ let recompute_xb st =
 (* Gauss-Jordan inversion of the current basis matrix with partial
    pivoting, built in the [fac]/[finv] scratch pair and committed to
    [binv] only on success, so a singular basis leaves the state intact.
-   Returns false when the basis is numerically singular. *)
+   The scratch pair is allocated here on first use and whenever [m]
+   outgrows it ([add_rows] hands it on, and [m] only grows).  Each
+   elimination only touches the columns where the scaled pivot row is
+   nonzero in [fac] or [finv] (gathered in [nzk]): the skipped updates
+   subtract an exact zero.  Returns false when the basis is numerically
+   singular. *)
 let refactorize st =
   let m = st.m in
-  let a = st.fac and inv = st.finv in
+  if A1.dim st.fac < m * m then begin
+    st.fac <- fa_make (m * m);
+    st.finv <- fa_make (m * m)
+  end;
+  let a = st.fac and inv = st.finv and nz = st.nzk in
   A1.fill a 0.0;
   A1.fill inv 0.0;
   for i = 0 to m - 1 do
@@ -192,16 +211,24 @@ let refactorize st =
          done
        end;
        let d = fget a (bc + col) in
+       let cnt = ref 0 in
        for k = 0 to m - 1 do
-         fset a (bc + k) (fget a (bc + k) /. d);
-         fset inv (bc + k) (fget inv (bc + k) /. d)
+         let ak = fget a (bc + k) /. d and ik = fget inv (bc + k) /. d in
+         fset a (bc + k) ak;
+         fset inv (bc + k) ik;
+         if ak <> 0.0 || ik <> 0.0 then begin
+           Array.unsafe_set nz !cnt k;
+           incr cnt
+         end
        done;
+       let cnt = !cnt in
        for i = 0 to m - 1 do
          if i <> col then begin
            let bi = i * m in
            let f = fget a (bi + col) in
            if f <> 0.0 then
-             for k = 0 to m - 1 do
+             for q = 0 to cnt - 1 do
+               let k = Array.unsafe_get nz q in
                fset a (bi + k) (fget a (bi + k) -. (f *. fget a (bc + k)));
                fset inv (bi + k) (fget inv (bi + k) -. (f *. fget inv (bc + k)))
              done
@@ -214,6 +241,38 @@ let refactorize st =
     recompute_xb st
   end;
   !ok
+
+(* Eta update of the basis inverse after the column whose [Binv A_j] is
+   in [work] enters at row [r]: row r is scaled by 1/w_r, then subtracted
+   w_i times from every other row i.  Only the indices where the scaled row is nonzero are
+   touched (gathered once into [nzk]): a skipped entry would subtract an
+   exact zero, which can at most flip the sign of a zero, and no ratio test
+   or pivot choice reads that sign.  O(m + nnz(w) * nnz(row r)). *)
+let pivot_binv st r =
+  let m = st.m in
+  let binv = st.binv and nz = st.nzk and w = st.work in
+  let br = r * m in
+  let wr = fget w r in
+  let cnt = ref 0 in
+  for k = 0 to m - 1 do
+    let v = fget binv (br + k) /. wr in
+    fset binv (br + k) v;
+    if v <> 0.0 then begin
+      Array.unsafe_set nz !cnt k;
+      incr cnt
+    end
+  done;
+  let cnt = !cnt in
+  for i = 0 to m - 1 do
+    let f = fget w i in
+    if i <> r && Float.abs f > 0.0 then begin
+      let bi = i * m in
+      for q = 0 to cnt - 1 do
+        let k = Array.unsafe_get nz q in
+        fset binv (bi + k) (fget binv (bi + k) -. (f *. fget binv (br + k)))
+      done
+    end
+  done
 
 (* One simplex phase on the current cost vector.  Returns [`Optimal],
    [`Unbounded] or [`Iters]. *)
@@ -361,22 +420,7 @@ let run_phase st ~max_iters =
             st.status.(j) <- Basic;
             st.basis.(r) <- j;
             fset st.xb r entering_value;
-            (* Binv update: row r scaled by 1/w_r, others eliminated. *)
-            let wr = fget w r in
-            let br = r * m in
-            for k = 0 to m - 1 do
-              fset st.binv (br + k) (fget st.binv (br + k) /. wr)
-            done;
-            for i = 0 to m - 1 do
-              let f = fget w i in
-              if i <> r && Float.abs f > 0.0 then begin
-                let bi = i * m in
-                for k = 0 to m - 1 do
-                  fset st.binv (bi + k)
-                    (fget st.binv (bi + k) -. (f *. fget st.binv (br + k)))
-                done
-              end
-            done;
+            pivot_binv st r;
             (* progress tracking on the phase objective *)
             let obj = ref 0.0 in
             for i = 0 to m - 1 do
@@ -484,7 +528,7 @@ let solve ?(max_iters = 20_000) (p : problem) =
       end
     done;
     let st =
-      make_state ~m ~ncols ~lo ~up ~cols ~rhs
+      make_state ~m ~ncols ~lo ~up ~csc:(csc_of_cols cols) ~rhs
         ~cost:(Array.make ncols 0.0) ~status ~basis
     in
     ignore (refactorize st);
@@ -656,7 +700,10 @@ let instance_of_problem ?(pricing = Devex) (p : problem) =
     for i = 0 to m - 1 do
       status.(n + i) <- Basic
     done;
-    let st = make_state ~m ~ncols ~lo ~up ~cols ~rhs ~cost ~status ~basis in
+    let st =
+      make_state ~m ~ncols ~lo ~up ~csc:(csc_of_cols cols) ~rhs ~cost ~status
+        ~basis
+    in
     recompute_xb st;
     (* All-slack basis: y = 0, so the reduced costs are the costs
        themselves; [d] is maintained incrementally from here on. *)
@@ -995,20 +1042,7 @@ let resolve ?(max_iters = 256) t =
             st.basis.(r) <- j;
             fset st.xb r entering_value;
             let wr = fget w r in
-            let br = r * m in
-            for k = 0 to m - 1 do
-              fset st.binv (br + k) (fget st.binv (br + k) /. wr)
-            done;
-            for i = 0 to m - 1 do
-              let f = fget w i in
-              if i <> r && Float.abs f > 0.0 then begin
-                let bi = i * m in
-                for k = 0 to m - 1 do
-                  fset st.binv (bi + k)
-                    (fget st.binv (bi + k) -. (f *. fget st.binv (br + k)))
-                done
-              end
-            done;
+            pivot_binv st r;
             (* devex reference-weight update from the pivot column *)
             (match t.pricing with
             | Dantzig -> ()
@@ -1064,79 +1098,107 @@ let resolve ?(max_iters = 256) t =
     try loop () with Exit -> Iteration_limit
   end
 
-(* Per-column sparse entries reconstructed from the CSC triplet — cold
-   path, used only when a cut row forces a full state rebuild. *)
-let cols_of_state st =
-  Array.init st.ncols (fun j ->
-      Array.init
-        (st.col_ptr.(j + 1) - st.col_ptr.(j))
-        (fun k ->
-          let t = st.col_ptr.(j) + k in
-          (st.col_row.(t), fget st.col_val t)))
-
-let add_row t terms rhs =
-  let st = t.st in
-  let n = t.inst_n and m = st.m in
-  let m' = m + 1 and ncols' = st.ncols + 1 in
-  let coef = Array.make (max n 1) 0.0 in
-  List.iter (fun (v, c) -> coef.(v) <- coef.(v) +. c) terms;
-  let old_cols = cols_of_state st in
-  let cols = Array.make ncols' [||] in
-  for j = 0 to st.ncols - 1 do
-    cols.(j) <-
-      (if j < n && coef.(j) <> 0.0 then begin
-         let c = old_cols.(j) in
-         let c' = Array.make (Array.length c + 1) (m, coef.(j)) in
-         Array.blit c 0 c' 0 (Array.length c);
-         c'
-       end
-       else old_cols.(j))
-  done;
-  cols.(ncols' - 1) <- [| (m, 1.0) |];
-  let arr_of fa_src len extra =
-    Array.init (len + 1) (fun i -> if i < len then fget fa_src i else extra)
-  in
-  let lo = arr_of st.lo st.ncols 0.0 in
-  let up = arr_of st.up st.ncols infinity in
-  let cost = arr_of st.cost st.ncols 0.0 in
-  let rhs_arr = arr_of st.rhs st.m rhs in
-  let status = Array.make ncols' Basic in
-  Array.blit st.status 0 status 0 st.ncols;
-  let basis = Array.make m' (ncols' - 1) in
-  Array.blit st.basis 0 basis 0 m;
-  let st' =
-    make_state ~m:m' ~ncols:ncols' ~lo ~up ~cols ~rhs:rhs_arr ~cost ~status
-      ~basis
-  in
-  (* Binv of the bordered basis [[B 0] [a_B 1]]: old inverse extended with
-     a zero column, plus a last row  -a_B Binv | 1. *)
-  A1.fill st'.binv 0.0;
-  for i = 0 to m - 1 do
-    for k = 0 to m - 1 do
-      fset st'.binv ((i * m') + k) (fget st.binv ((i * m) + k))
-    done
-  done;
-  let lb = m * m' in
-  fset st'.binv (lb + m) 1.0;
-  for i = 0 to m - 1 do
-    let b = st.basis.(i) in
-    let a = if b < n then coef.(b) else 0.0 in
-    if a <> 0.0 then
-      for k = 0 to m - 1 do
-        fset st'.binv (lb + k)
-          (fget st'.binv (lb + k) -. (a *. fget st.binv ((i * m) + k)))
+(* All of a round's cuts are bordered onto the basis in one rebuild.  The
+   result is the state that appending the cuts one at a time would give,
+   bit for bit: each structural column gains its cut entries in cut order,
+   the cut slacks are appended as basic columns, the old inverse keeps its
+   block with zero columns beside it, and cut q's last row is
+   e_(m+q) - a_B Binv, accumulated over the basic rows in order (the
+   slacks of earlier cuts carry no coefficient in later ones). *)
+let add_rows t cuts =
+  if cuts <> [] then begin
+    let st = t.st in
+    let n = t.inst_n and m = st.m and ncols = st.ncols in
+    let c = List.length cuts in
+    let m' = m + c and ncols' = ncols + c in
+    let coef = Array.make_matrix c (max n 1) 0.0 in
+    let rhs = Array.make c 0.0 in
+    List.iteri
+      (fun q (terms, b) ->
+        List.iter (fun (v, a) -> coef.(q).(v) <- coef.(q).(v) +. a) terms;
+        rhs.(q) <- b)
+      cuts;
+    let extra = ref 0 in
+    for q = 0 to c - 1 do
+      for j = 0 to n - 1 do
+        if coef.(q).(j) <> 0.0 then incr extra
       done
-  done;
-  t.st <- st';
-  (* the appended basic slack has reduced cost 0 and leaves y unchanged
-     (its cost is 0), so the existing reduced costs stay valid *)
-  let d' = fa_make ncols' in
-  fa_blit t.d d' (ncols' - 1);
-  t.d <- d';
-  t.alpha <- fa_make ncols';
-  t.dw <- fa_make m';
-  A1.fill t.dw 1.0;
-  recompute_xb t.st
+    done;
+    let nnz = st.col_ptr.(ncols) + !extra + c in
+    let col_ptr = Array.make (ncols' + 1) 0 in
+    let col_row = Array.make nnz 0 in
+    let col_val = fa_make nnz in
+    let p = ref 0 in
+    let push i a =
+      col_row.(!p) <- i;
+      fset col_val !p a;
+      incr p
+    in
+    for j = 0 to ncols - 1 do
+      col_ptr.(j) <- !p;
+      for tt = st.col_ptr.(j) to st.col_ptr.(j + 1) - 1 do
+        push st.col_row.(tt) (fget st.col_val tt)
+      done;
+      if j < n then
+        for q = 0 to c - 1 do
+          if coef.(q).(j) <> 0.0 then push (m + q) coef.(q).(j)
+        done
+    done;
+    for q = 0 to c - 1 do
+      col_ptr.(ncols + q) <- !p;
+      push (m + q) 1.0
+    done;
+    col_ptr.(ncols') <- !p;
+    let grow (src : fa) len extra =
+      Array.init (len + c) (fun i -> if i < len then fget src i else extra i)
+    in
+    let status = Array.make ncols' Basic in
+    Array.blit st.status 0 status 0 ncols;
+    let basis =
+      Array.init m' (fun i -> if i < m then st.basis.(i) else ncols + i - m)
+    in
+    let st' =
+      make_state ~m:m' ~ncols:ncols'
+        ~lo:(grow st.lo ncols (fun _ -> 0.0))
+        ~up:(grow st.up ncols (fun _ -> infinity))
+        ~csc:(col_ptr, col_row, col_val)
+        ~rhs:(grow st.rhs m (fun i -> rhs.(i - m)))
+        ~cost:(grow st.cost ncols (fun _ -> 0.0))
+        ~status ~basis
+    in
+    st'.fac <- st.fac;
+    st'.finv <- st.finv;
+    (* [binv] starts as the identity: the old block overwrites the top
+       left, which leaves zeros beside it and the cut rows' unit entries *)
+    let binv = st'.binv in
+    for i = 0 to m - 1 do
+      for k = 0 to m - 1 do
+        fset binv ((i * m') + k) (fget st.binv ((i * m) + k))
+      done
+    done;
+    for q = 0 to c - 1 do
+      let lb = (m + q) * m' in
+      for i = 0 to m - 1 do
+        let b = st.basis.(i) in
+        let a = if b < n then coef.(q).(b) else 0.0 in
+        if a <> 0.0 then
+          for k = 0 to m - 1 do
+            fset binv (lb + k)
+              (fget binv (lb + k) -. (a *. fget st.binv ((i * m) + k)))
+          done
+      done
+    done;
+    t.st <- st';
+    (* the appended basic slacks have reduced cost 0 and leave y unchanged
+       (their cost is 0), so the existing reduced costs stay valid *)
+    let d' = fa_make ncols' in
+    fa_blit t.d d' ncols;
+    t.d <- d';
+    t.alpha <- fa_make ncols';
+    t.dw <- fa_make m';
+    A1.fill t.dw 1.0;
+    recompute_xb st'
+  end
 
 (* Reads the incrementally-maintained reduced costs — O(n), no fresh
    O(m^2) dual computation.  Meaningful right after an [Optimal] resolve. *)

@@ -82,11 +82,14 @@ val resolve : ?max_iters:int -> instance -> result
     means the (dual unbounded) LP has no primal solution under the current
     bounds; [Iteration_limit] leaves the instance usable. *)
 
-val add_row : instance -> (int * float) list -> float -> unit
-(** [add_row t terms rhs] appends the cut [terms <= rhs] ([(var, coef)]
-    pairs over structural variables).  The basis inverse is extended in
-    O(m^2) with the new slack basic, keeping the basis dual feasible.
-    {!save}d snapshots from before the call can no longer be restored. *)
+val add_rows : instance -> ((int * float) list * float) list -> unit
+(** [add_rows t cuts] appends each cut [(terms, rhs)], meaning
+    [terms <= rhs] over structural variables ([(var, coef)] pairs, summed
+    per variable), with its slack basic.  The basis inverse is bordered
+    once for the whole batch, and the basis stays dual feasible.  The
+    resulting instance is the same, bit for bit, as appending the cuts
+    one at a time in list order.  {!save}d snapshots from before the call
+    can no longer be restored. *)
 
 val nonbasic_reduced_costs : instance -> (int * bool * float) list
 (** After an [Optimal] {!resolve}: [(var, at_upper, d)] for each nonbasic
@@ -123,4 +126,4 @@ val restore : instance -> snapshot -> bool
 (** Reinstates the snapshot's bounds and refactorizes from its basis, so
     the instance's state afterwards does not depend on the bound changes
     and solves made since {!save}.  [false] if the snapshot predates an
-    {!add_row} or the basis matrix has become singular. *)
+    {!add_rows} or the basis matrix has become singular. *)

@@ -1633,9 +1633,10 @@ let search_drive s root_mark =
 
 (* --- root cut loop ------------------------------------------------------ *)
 
-(* Solve the root LP, separate violated cover/clique cuts, append them to
-   (a copy of) the model and to the warm instance, and repeat until no cut
-   is violated, the round limit is hit, or the deadline passes.  Returns
+(* Solve the root LP, separate violated cuts, append them to (a copy of)
+   the model and, in one batch per round, to the warm instance, and
+   repeat until no cut is violated, the round limit is hit, or the
+   deadline passes.  Returns
    the possibly-strengthened model and the warm instance (already hot on
    the cut-augmented root LP) for the search to keep using. *)
 let root_cut_loop ?deadline ?stats ?started ~(options : options) model =
@@ -1644,7 +1645,8 @@ let root_cut_loop ?deadline ?stats ?started ~(options : options) model =
   | Some inst ->
       let t0 = match started with Some t -> t | None -> now () in
       let model = ref model and copied = ref false in
-      let rounds = ref 0 and total = ref 0 and go = ref true in
+      let rounds = ref 0 and cut_rounds = ref 0 and total = ref 0 in
+      let go = ref true in
       while !go && !rounds < 8 do
         incr rounds;
         (match deadline with
@@ -1664,13 +1666,17 @@ let root_cut_loop ?deadline ?stats ?started ~(options : options) model =
                   (fun i (c : Cuts.cut) ->
                     Model.add_le !model
                       ~name:(Printf.sprintf "cut%d_%d" !rounds i)
-                      (Linexpr.of_list c.terms) c.rhs;
-                    Simplex.add_row inst
-                      (List.map (fun (a, v) -> (v, float_of_int a)) c.terms)
-                      (float_of_int c.rhs))
+                      (Linexpr.of_list c.terms) c.rhs)
                   cuts;
+                Simplex.add_rows inst
+                  (List.map
+                     (fun (c : Cuts.cut) ->
+                       ( List.map (fun (a, v) -> (v, float_of_int a)) c.terms,
+                         float_of_int c.rhs ))
+                     cuts);
                 let n = List.length cuts in
                 total := !total + n;
+                incr cut_rounds;
                 (match stats with
                 | Some st ->
                     st.Stats.cut_rounds <- st.Stats.cut_rounds + 1;
@@ -1691,7 +1697,7 @@ let root_cut_loop ?deadline ?stats ?started ~(options : options) model =
       | Some tr when !total > 0 ->
           Trace.emit tr ~time_s:(now () -. t0)
             (Trace.Message
-               (Printf.sprintf "%d root cuts in %d rounds" !total (!rounds - 1)))
+               (Printf.sprintf "%d root cuts in %d rounds" !total !cut_rounds))
       | Some _ | None -> ());
       (!model, Some inst)
 

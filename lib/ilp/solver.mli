@@ -52,9 +52,10 @@ type options = {
   node_limit : int option;
   lp : lp_mode;
   cuts : bool;
-      (** run the root cutting-plane loop ({!Cuts}: extended cover +
-          clique cuts) before branching, when [lp] is not [Lp_never].
-          Cut generation is capped at a quarter of [time_limit]. *)
+      (** run the root cutting-plane loop ({!Cuts}: extended cover,
+          clique, odd-cycle and {0,1/2}-Chvátal-Gomory cuts) before
+          branching, when [lp] is not [Lp_never].  Cut generation is
+          capped at a quarter of [time_limit]. *)
   branch_order : int list option;
       (** variables branched first, highest priority first; remaining
           variables follow in index order.  Branching is dynamic

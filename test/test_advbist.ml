@@ -62,6 +62,30 @@ let test_lp_export_of_encoding () =
   let s = Ilp.Lp_format.to_string e.Advbist.Encoding.model in
   check_bool "exports" true (String.length s > 1000)
 
+(* The [ilp_cli solve] path on the exported tseng reference, pinned: the
+   root cut loop's rounds and cuts and the search's node count.  Any
+   change to a floating-point decision of the LP kernel shows up here. *)
+let test_lp_file_cut_loop_golden () =
+  let tseng = Option.get (Circuits.Suite.find "tseng") in
+  let n_regs = Dfg.Problem.min_registers tseng in
+  let e = Advbist.Encoding.build_reference tseng ~n_regs in
+  let text = Ilp.Lp_format.to_string e.Advbist.Encoding.model in
+  let model = (get (Ilp.Lp_parse.of_string text)).Ilp.Lp_parse.model in
+  let options =
+    {
+      Ilp.Solver.default with
+      Ilp.Solver.node_limit = Some 10_000;
+      stats = true;
+    }
+  in
+  let o = Ilp.Solver.solve ~options model in
+  let st = Option.get o.Ilp.Solver.stats in
+  check_bool "optimal" true (o.Ilp.Solver.status = Ilp.Solver.Optimal);
+  check_int "objective" 400 (Option.get o.Ilp.Solver.objective);
+  check_int "nodes" 4273 o.Ilp.Solver.nodes;
+  check_int "cut rounds" 3 st.Ilp.Stats.cut_rounds;
+  check_int "cuts kept" 15 st.Ilp.Stats.cuts_kept
+
 (* -- Warm-start vector --------------------------------------------------- *)
 
 let test_vector_of_plan_feasible () =
@@ -1057,6 +1081,8 @@ let () =
           Alcotest.test_case "symmetry fixing" `Quick
             test_encoding_symmetry_fixes_clique;
           Alcotest.test_case "lp export" `Quick test_lp_export_of_encoding;
+          Alcotest.test_case "lp file cut loop golden" `Quick
+            test_lp_file_cut_loop_golden;
         ] );
       ( "warm_start",
         [

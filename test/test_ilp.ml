@@ -602,6 +602,66 @@ let test_restore_reinstates_bounds () =
   check_bool "restored LP is the saved one" true
     (Float.abs (objective () -. root) < 1e-6)
 
+(* Cut rows appended after an [Optimal] re-solve: one batched [add_rows]
+   call and two single-row calls must leave bitwise-equal instances, so
+   their next re-solves agree exactly (objective and primal under [=]);
+   both must match a cold two-phase solve of the model with the rows
+   appended.  Rows are random, with repeated variables (summed) and zero
+   coefficients, so some cut the LP optimum off and some make it
+   infeasible. *)
+let test_add_rows_batched_matches_sequential () =
+  let rng = Random.State.make [| 7 |] in
+  let compared = ref 0 and model = ref 0 in
+  while !compared < 200 && !model < 2000 do
+    incr model;
+    let model = !model in
+    let m = build_model (QCheck2.Gen.generate1 ~rand:rng gen_small_model) in
+    let n = Ilp.Model.n_vars m in
+    let row () =
+      let terms =
+        List.init
+          (1 + Random.State.int rng (n + 2))
+          (fun _ -> (Random.State.int rng n, Random.State.int rng 7 - 3))
+      in
+      (terms, Random.State.int rng 6 - 1)
+    in
+    let r1 = row () and r2 = row () in
+    let fl (terms, rhs) =
+      (List.map (fun (v, a) -> (v, float_of_int a)) terms, float_of_int rhs)
+    in
+    let warm () =
+      let inst = Option.get (Ilp.Simplex.instance_of_model m) in
+      match Ilp.Simplex.resolve inst with
+      | Ilp.Simplex.Optimal _ -> Some inst
+      | _ -> None
+    in
+    match (warm (), warm ()) with
+    | Some batched, Some single ->
+        Ilp.Simplex.add_rows batched [ fl r1; fl r2 ];
+        Ilp.Simplex.add_rows single [ fl r1 ];
+        Ilp.Simplex.add_rows single [ fl r2 ];
+        let a = Ilp.Simplex.resolve batched in
+        let b = Ilp.Simplex.resolve single in
+        let what = Printf.sprintf "model %d" model in
+        check_bool (what ^ ": batched = one at a time") true (a = b);
+        let m' = Ilp.Model.copy m in
+        List.iter
+          (fun (terms, rhs) ->
+            Ilp.Model.add_le m'
+              (Ilp.Linexpr.of_list (List.map (fun (v, a) -> (a, v)) terms))
+              rhs)
+          [ r1; r2 ];
+        (match (a, Ilp.Simplex.relax m') with
+        | Ilp.Simplex.Optimal x, Ilp.Simplex.Optimal y ->
+            incr compared;
+            close (what ^ ": objective = cold") y.objective x.objective
+        | Ilp.Simplex.Infeasible, Ilp.Simplex.Infeasible -> incr compared
+        | Ilp.Simplex.Iteration_limit, _ | _, Ilp.Simplex.Iteration_limit -> ()
+        | _ -> Alcotest.failf "%s: warm/cold status mismatch" what)
+    | _ -> ()
+  done;
+  check_bool "compared 200 cut pairs" true (!compared >= 200)
+
 (* -- Presolve ------------------------------------------------------------- *)
 
 let test_presolve_detects_infeasible () =
@@ -1601,6 +1661,8 @@ let () =
           Alcotest.test_case "equalities only" `Quick test_simplex_equalities_only;
           Alcotest.test_case "no rows" `Quick test_simplex_no_rows;
           Alcotest.test_case "warm = cold" `Quick test_warm_matches_cold;
+          Alcotest.test_case "add_rows" `Quick
+            test_add_rows_batched_matches_sequential;
           Alcotest.test_case "restore reinstates bounds" `Quick
             test_restore_reinstates_bounds;
         ] );
