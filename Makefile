@@ -70,7 +70,8 @@ perfbench-check:
 # Kernel micro-benchmark: simplex re-solve iterations/s and propagation
 # fixpoint sweeps/s on a fixed instance (tseng k=1), plus the root cut
 # loop on the iir3 reference encoding (cold root LP iterations/s and the
-# wall time of Solver.with_root_cuts).  Non-gating — rates
+# wall time of Solver.with_root_cuts), and Symmetry.detect's wall time and
+# allocation on the presolved dct4 k=2 and ewf k=3 encodings.  Non-gating — rates
 # are machine-dependent — but the report is kept in _build/perf_micro.txt
 # so CI can upload it next to bench_diff.txt for trend eyeballing.
 perf:

@@ -664,7 +664,9 @@ let smoke () =
      model's rows via Ilp.Solver.propagation_rate;
    - the root cut loop on the iir3 reference encoding (the largest LP of
      the `ilp_cli solve` workload): iterations/s of the cold root
-     re-solve, and the wall time of one Ilp.Solver.with_root_cuts.
+     re-solve, and the wall time of one Ilp.Solver.with_root_cuts;
+   - Ilp.Symmetry.detect on the presolved dct4 k=2 and ewf k=3
+     encodings: wall time and OCaml allocation per call.
 
    Non-gating by design: rates are machine-dependent, so the artifact is
    for eyeballing trends across CI runs, not a pass/fail check. *)
@@ -693,6 +695,32 @@ let cut_loop_rate () =
           Printf.printf "perf: root cut loop (iir3 ref) %d cuts in %.3fs\n"
             (Ilp.Model.n_constraints cut - Ilp.Model.n_constraints model)
             (Unix.gettimeofday () -. t0))
+
+let symmetry_rate () =
+  List.iter
+    (fun (name, k) ->
+      match Circuits.Suite.find name with
+      | None -> Printf.printf "perf: %s circuit missing\n" name
+      | Some p ->
+          let e =
+            Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k
+          in
+          let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
+          let calls = 5 in
+          let orbits = ref [] in
+          let a0 = Gc.allocated_bytes () in
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to calls do
+            orbits := Ilp.Symmetry.detect model
+          done;
+          let per_call x = x /. float_of_int calls in
+          Printf.printf
+            "perf: symmetry detect (%s k=%d, %d vars) %d orbits in %.4fs, \
+             %.1f MB allocated per call\n"
+            name k (Ilp.Model.n_vars model) (List.length !orbits)
+            (per_call (Unix.gettimeofday () -. t0))
+            (per_call ((Gc.allocated_bytes () -. a0) /. 1e6)))
+    [ ("dct4", 2); ("ewf", 3) ]
 
 let perf () =
   let p =
@@ -742,7 +770,8 @@ let perf () =
   let sweeps = 2_000 in
   let rate = Ilp.Solver.propagation_rate model ~sweeps in
   Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate;
-  cut_loop_rate ()
+  cut_loop_rate ();
+  symmetry_rate ()
 
 (* Snapshot regression diff: FAIL on area/optimality/coverage losses,
    warn on node-count, gap, time and phase-share drift. *)

@@ -77,7 +77,8 @@ let lp_mode model =
   else Ilp.Solver.Lp_never
 
 let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
-    ?(learn = Ilp.Solver.default.Ilp.Solver.learn) ~sym encoding warm =
+    ?(learn = Ilp.Solver.default.Ilp.Solver.learn) ~sym ~orbits encoding
+    warm =
   {
     Ilp.Solver.default with
     Ilp.Solver.time_limit;
@@ -100,7 +101,7 @@ let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
     (* structural orbits the in-model reductions left unbroken; verified
        exactly, so the solver takes them as-is (auto-detection then only
        runs on models small enough for it) *)
-    orbits = (if sym then Encoding.orbits encoding else []);
+    orbits = (if sym then Lazy.force orbits else []);
   }
 
 (* One ILP solve: a work-stealing parallel subtree search, or the plain
@@ -111,9 +112,9 @@ let run_solver ~jobs options model =
 
 (* Post-mortem capture: when [explain] is set the solve's trace is
    routed to a private temp JSONL file, parsed back with {!Ilp.Replay}
-   and analyzed against the encoding's orbits.  A caller-supplied sink
-   still sees every event — the captured stream is replayed into it
-   after the solve (content-identical, just not live). *)
+   and analyzed against the encoding's orbits (forced only then).  A
+   caller-supplied sink still sees every event — the captured stream is
+   replayed into it after the solve (content-identical, just not live). *)
 let with_explain ~explain ?trace ~orbits run =
   if not explain then (run trace, None)
   else begin
@@ -135,7 +136,7 @@ let with_explain ~explain ?trace ~orbits run =
           | Some s ->
               List.iter (fun (t, ev) -> Ilp.Trace.emit s ~time_s:t ev) events
           | None -> ());
-          Some (Ilp.Replay.analyze ~orbits events)
+          Some (Ilp.Replay.analyze ~orbits:(Lazy.force orbits) events)
       | Error _ -> None
     in
     (try Sys.remove path with Sys_error _ -> ());
@@ -158,7 +159,8 @@ let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
   let* d0 = align_to_clique p d0 in
   let warm = Result.to_option (Encoding.vector_of_netlist e d0) in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?trace ?learn ~sym e warm
+    solver_options ?time_limit ?node_limit ?stats ?trace ?learn ~sym
+      ~orbits:(lazy (Encoding.orbits e)) e warm
   in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
@@ -222,8 +224,11 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
     | Some h, s -> (Some h, s)
     | None, s -> (s, None)
   in
+  (* the solver's orbits and the post-mortem's: one computation, and none
+     when neither symmetry nor explain asks for it *)
+  let orbits = lazy (Encoding.orbits e) in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?learn ~sym e warm
+    solver_options ?time_limit ?node_limit ?stats ?learn ~sym ~orbits e warm
   in
   let options = { options with Ilp.Solver.incumbent_start = incumbent } in
   (* presolve keeps variable indices, so decoding solutions still works *)
@@ -235,7 +240,7 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
      basis-inverse budget. *)
   let options = { options with Ilp.Solver.lp = lp_mode model } in
   let r, report =
-    with_explain ~explain ?trace ~orbits:(Encoding.orbits e) (fun tr ->
+    with_explain ~explain ?trace ~orbits (fun tr ->
         let options = { options with Ilp.Solver.trace = tr } in
         let r = run_solver ~jobs options model in
         stamp_presolve r presolve_s;

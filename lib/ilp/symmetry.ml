@@ -8,77 +8,120 @@ let size = function
 
 let vars = function
   | Scalar vs -> Array.to_list vs
-  | Blocks cols ->
-      Array.fold_left (fun acc col -> acc @ Array.to_list col) [] cols
+  | Blocks cols -> Array.to_list (Array.concat (Array.to_list cols))
 
-(* Preprocessed view: every constraint as (sense, rhs, terms sorted by
-   variable), an occurrence list per variable, and a canonical string key
-   per row so row multisets compare as sorted key lists. *)
+(* Preprocessed view on flat int arrays: the constraints as CSR rows
+   (terms ascending by variable, no repeated variable and no zero
+   coefficient — the [Linexpr] invariant), the transpose as CSR
+   occurrences (row, coefficient) per variable with rows ascending, and
+   the per-variable bounds and objective coefficients. *)
 type ctx = {
   n : int;
   objc : int array;
   lbs : int array;
   ubs : int array;
-  rows : (int * int * (int * int) array) array;  (* sense, rhs, (var, coef) *)
-  occ : int list array;  (* var -> row indices, ascending *)
+  sense : int array;  (* per row: 0 Le, 1 Ge, 2 Eq *)
+  rhs : int array;
+  row_start : int array;  (* m + 1 offsets into row_var / row_coef *)
+  row_var : int array;
+  row_coef : int array;
+  occ_start : int array;  (* n + 1 offsets into occ_row / occ_coef *)
+  occ_row : int array;
+  occ_coef : int array;
 }
 
 let sense_code = function Model.Le -> 0 | Model.Ge -> 1 | Model.Eq -> 2
 
-(* Sort terms by variable and merge duplicates (a Linexpr may in principle
-   carry a variable twice; the canonical form must not). *)
-let canon_terms terms =
-  let a = Array.of_list terms in
-  Array.sort (fun (v1, _) (v2, _) -> compare v1 v2) a;
-  let out = ref [] in
-  Array.iter
-    (fun (v, c) ->
-      match !out with
-      | (v', c') :: rest when v' = v -> out := (v, c + c') :: rest
-      | _ -> out := (v, c) :: !out)
-    a;
-  Array.of_list (List.rev (List.filter (fun (_, c) -> c <> 0) !out))
-
 let make_ctx model =
   let n = Model.n_vars model in
-  let objc = Array.make (max n 1) 0 in
-  List.iter (fun (a, v) -> objc.(v) <- a) (Linexpr.terms (Model.objective model));
-  let lbs = Array.make (max n 1) 0 and ubs = Array.make (max n 1) 0 in
-  for v = 0 to n - 1 do
-    let l, u = Model.bounds model v in
-    lbs.(v) <- l;
-    ubs.(v) <- u
-  done;
-  let rows =
-    Array.map
-      (fun (c : Model.constr) ->
-        ( sense_code c.Model.sense,
-          c.Model.rhs,
-          canon_terms
-            (List.map (fun (a, v) -> (v, a)) (Linexpr.terms c.Model.expr)) ))
-      (Model.constraints model)
-  in
-  let occ = Array.make (max n 1) [] in
+  let objc = Array.make n 0 in
+  Linexpr.iter (fun ~coef ~var -> objc.(var) <- coef) (Model.objective model);
+  let cs = Model.constraints model in
+  let m = Array.length cs in
+  let row_start = Array.make (m + 1) 0 in
   Array.iteri
-    (fun i (_, _, terms) ->
-      Array.iter (fun (v, _) -> occ.(v) <- i :: occ.(v)) terms)
-    rows;
-  Array.iteri (fun v l -> occ.(v) <- List.rev l) occ;
-  { n; objc; lbs; ubs; rows; occ }
+    (fun i (c : Model.constr) ->
+      row_start.(i + 1) <- row_start.(i) + Linexpr.n_terms c.Model.expr)
+    cs;
+  let nnz = row_start.(m) in
+  let row_var = Array.make nnz 0 and row_coef = Array.make nnz 0 in
+  let occ_start = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i (c : Model.constr) ->
+      let k = ref row_start.(i) in
+      Linexpr.iter
+        (fun ~coef ~var ->
+          row_var.(!k) <- var;
+          row_coef.(!k) <- coef;
+          occ_start.(var + 1) <- occ_start.(var + 1) + 1;
+          incr k)
+        c.Model.expr)
+    cs;
+  for v = 0 to n - 1 do
+    occ_start.(v + 1) <- occ_start.(v + 1) + occ_start.(v)
+  done;
+  (* transpose: rows are visited in order, so each variable's
+     occurrences come out ascending by row *)
+  let occ_row = Array.make nnz 0 and occ_coef = Array.make nnz 0 in
+  let fill = Array.sub occ_start 0 n in
+  for i = 0 to m - 1 do
+    for t = row_start.(i) to row_start.(i + 1) - 1 do
+      let v = row_var.(t) in
+      occ_row.(fill.(v)) <- i;
+      occ_coef.(fill.(v)) <- row_coef.(t);
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
+  {
+    n;
+    objc;
+    lbs = Model.lower_bounds model;
+    ubs = Model.upper_bounds model;
+    sense = Array.map (fun (c : Model.constr) -> sense_code c.Model.sense) cs;
+    rhs = Array.map (fun (c : Model.constr) -> c.Model.rhs) cs;
+    row_start;
+    row_var;
+    row_coef;
+    occ_start;
+    occ_row;
+    occ_coef;
+  }
 
-let row_key (sense, rhs, terms) =
-  let b = Buffer.create (16 + (Array.length terms * 8)) in
-  Buffer.add_string b (string_of_int sense);
-  Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int rhs);
-  Array.iter
-    (fun (v, c) ->
-      Buffer.add_char b ';';
-      Buffer.add_string b (string_of_int v);
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int c))
-    terms;
-  Buffer.contents b
+(* Row [i] with its variables renamed by [image], as one flat key
+   [| sense; rhs; v0; c0; v1; c1; ... |] with the terms re-sorted by
+   variable.  Insertion sort: a renaming moves only the swapped
+   variables' terms, so the rest of the row is already in order. *)
+let row_key ctx image i =
+  let s = ctx.row_start.(i) in
+  let len = ctx.row_start.(i + 1) - s in
+  let key = Array.make (2 + (2 * len)) 0 in
+  key.(0) <- ctx.sense.(i);
+  key.(1) <- ctx.rhs.(i);
+  for j = 0 to len - 1 do
+    let v = image ctx.row_var.(s + j) and c = ctx.row_coef.(s + j) in
+    let p = ref (2 + (2 * j)) in
+    while !p > 2 && key.(!p - 2) > v do
+      key.(!p) <- key.(!p - 2);
+      key.(!p + 1) <- key.(!p - 1);
+      p := !p - 2
+    done;
+    key.(!p) <- v;
+    key.(!p + 1) <- c
+  done;
+  key
+
+(* Any total order on keys does: it only has to make equal multisets sort
+   to equal sequences. *)
+let compare_keys (a : int array) (b : int array) =
+  let la = Array.length a in
+  if la <> Array.length b then Int.compare la (Array.length b)
+  else begin
+    let j = ref 0 in
+    while !j < la && a.(!j) = b.(!j) do
+      incr j
+    done;
+    if !j = la then 0 else Int.compare a.(!j) b.(!j)
+  end
 
 let transposition_ok ctx pairs =
   let pairs = List.filter (fun (u, v) -> u <> v) pairs in
@@ -108,27 +151,24 @@ let transposition_ok ctx pairs =
     else begin
       let image v = match Hashtbl.find_opt map v with Some w -> w | None -> v in
       let affected =
-        List.sort_uniq compare
-          (Hashtbl.fold (fun v _ acc -> ctx.occ.(v) @ acc) map [])
+        Hashtbl.fold
+          (fun v _ acc ->
+            let acc = ref acc in
+            for k = ctx.occ_start.(v) to ctx.occ_start.(v + 1) - 1 do
+              acc := ctx.occ_row.(k) :: !acc
+            done;
+            !acc)
+          map []
+        |> List.sort_uniq Int.compare |> Array.of_list
       in
       (* The permutation fixes every unaffected row, so invariance of the
          whole constraint multiset reduces to: the multiset of affected-row
          keys equals the multiset of their images. *)
-      let originals =
-        List.map (fun i -> row_key ctx.rows.(i)) affected
-      in
-      let images =
-        List.map
-          (fun i ->
-            let sense, rhs, terms = ctx.rows.(i) in
-            let terms' =
-              Array.map (fun (v, c) -> (image v, c)) terms
-            in
-            Array.sort (fun (v1, _) (v2, _) -> compare v1 v2) terms';
-            row_key (sense, rhs, terms'))
-          affected
-      in
-      List.sort compare originals = List.sort compare images
+      let originals = Array.map (row_key ctx Fun.id) affected in
+      let images = Array.map (row_key ctx image) affected in
+      Array.sort compare_keys originals;
+      Array.sort compare_keys images;
+      Array.for_all2 (fun a b -> compare_keys a b = 0) originals images
     end
   end
 
@@ -167,119 +207,239 @@ let filter_verified model orbits =
 
 (* --- automatic scalar-orbit detection ---------------------------------- *)
 
-(* Interning: map structural signatures to small integer colours. *)
-let intern table next key =
-  match Hashtbl.find_opt table key with
-  | Some c -> c
-  | None ->
-      let c = !next in
-      incr next;
-      Hashtbl.replace table key c;
-      c
+(* Sort [a.(lo) .. a.(hi - 1)] ascending: in place by insertion for the
+   short slices rows and occurrence lists mostly are, by a sorted copy
+   for long ones. *)
+let sort_slice a lo hi =
+  if hi - lo <= 64 then
+    for j = lo + 1 to hi - 1 do
+      let x = a.(j) in
+      let p = ref (j - 1) in
+      while !p >= lo && a.(!p) > x do
+        a.(!p + 1) <- a.(!p);
+        decr p
+      done;
+      a.(!p + 1) <- x
+    done
+  else begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+
+(* Hash mixing for the class tables below; only speed depends on it. *)
+let mix h x = (h lxor x) * 0x2545F4914F6CDD1D
+
+(* [h] mixed with [a.(s) .. a.(e - 1)]. *)
+let hash_slice a s e h =
+  let h = ref h in
+  for t = s to e - 1 do
+    h := mix !h a.(t)
+  done;
+  !h
+
+let equal_slices (a : int array) s1 e1 s2 e2 =
+  e1 - s1 = e2 - s2
+  &&
+  let i = ref s1 and d = s2 - s1 in
+  while !i < e1 && a.(!i) = a.(!i + d) do
+    incr i
+  done;
+  !i = e1
+
+(* Colour items [0 .. k-1] by the classes of [equal]: colours number the
+   classes in order of first occurrence and are written to [colour]; the
+   result is the number of classes.  Items are bucketed by [hash] in an
+   open-addressing table of class representatives.  [hs] (length >= k)
+   and [table] (length >= the power of two at or above 2k) are work
+   arrays, reused across calls. *)
+let relabel k hash equal colour ~hs ~table =
+  let size = ref 1 in
+  while !size < 2 * k do
+    size := 2 * !size
+  done;
+  let mask = !size - 1 in
+  Array.fill table 0 !size (-1);
+  for i = 0 to k - 1 do
+    let x = hash i in
+    hs.(i) <- x lxor (x lsr 32)
+  done;
+  let classes = ref 0 in
+  for i = 0 to k - 1 do
+    let slot = ref (hs.(i) land mask) in
+    while
+      table.(!slot) >= 0
+      && not (hs.(table.(!slot)) = hs.(i) && equal table.(!slot) i)
+    do
+      slot := (!slot + 1) land mask
+    done;
+    let rep = table.(!slot) in
+    if rep < 0 then begin
+      table.(!slot) <- i;
+      colour.(i) <- !classes;
+      incr classes
+    end
+    else colour.(i) <- colour.(rep)
+  done;
+  !classes
+
+(* Index of [x] in [sorted.(lo) .. sorted.(hi - 1)], ascending and
+   duplicate-free. *)
+let rec rank_in (sorted : int array) lo hi x =
+  let mid = (lo + hi) / 2 in
+  if sorted.(mid) < x then rank_in sorted (mid + 1) hi x
+  else if sorted.(mid) > x then rank_in sorted lo mid x
+  else mid
+
+let max_passes = 8
 
 let detect ?(max_vars = 4000) ?(max_nnz = 100_000) model =
   let n = Model.n_vars model in
   if n < 2 || n > max_vars then []
   else begin
     let ctx = make_ctx model in
-    let nnz =
-      Array.fold_left (fun acc (_, _, t) -> acc + Array.length t) 0 ctx.rows
-    in
+    let nnz = Array.length ctx.row_var in
     if nnz > max_nnz then []
     else begin
       (* Iterative colour refinement: a variable's colour is refined by the
          multiset of (coefficient, row colour) over its occurrences; a
          row's colour by its sense/rhs and the multiset of (coefficient,
          variable colour).  This only ever proposes candidates — exactness
-         comes from the transposition verification below. *)
-      let table = Hashtbl.create 97 and next = ref 0 in
-      let vcolor =
-        Array.init n (fun v ->
-            intern table next
-              (Printf.sprintf "v%d,%d,%d" ctx.lbs.(v) ctx.ubs.(v) ctx.objc.(v)))
-      in
-      let rcolor = Array.make (Array.length ctx.rows) 0 in
-      let stable = ref false and passes = ref 0 in
-      while (not !stable) && !passes < 8 do
-        incr passes;
-        Array.iteri
-          (fun i (sense, rhs, terms) ->
-            let sig_ =
-              List.sort compare
-                (Array.to_list
-                   (Array.map (fun (v, c) -> (c, vcolor.(v))) terms))
-            in
-            rcolor.(i) <-
-              intern table next
-                (Printf.sprintf "r%d,%d,%s" sense rhs
-                   (String.concat ";"
-                      (List.map (fun (c, k) -> Printf.sprintf "%d:%d" c k) sig_))))
-          ctx.rows;
-        stable := true;
-        Array.iteri
-          (fun v old ->
-            let sig_ =
-              List.sort compare
-                (List.concat_map
-                   (fun i ->
-                     let _, _, terms = ctx.rows.(i) in
-                     List.filter_map
-                       (fun (v', c) ->
-                         if v' = v then Some (c, rcolor.(i)) else None)
-                       (Array.to_list terms))
-                   ctx.occ.(v))
-            in
-            let c =
-              intern table next
-                (Printf.sprintf "w%d,%s" old
-                   (String.concat ";"
-                      (List.map (fun (c, k) -> Printf.sprintf "%d:%d" c k) sig_)))
-            in
-            if c <> vcolor.(v) then begin
-              vcolor.(v) <- c;
-              stable := false
+         comes from the transposition verification below.
+
+         Colours are dense ints, renumbered every pass.  A term's key
+         packs (coefficient rank, colour) into one int, so each row's
+         (each variable's) multiset is a sorted slice of a flat key array
+         laid out like the CSR rows (occurrences), and equal slices get
+         equal colours through a hash table. *)
+      let coefs =
+        let a = Array.copy ctx.row_coef in
+        Array.sort Int.compare a;
+        let k = ref 0 in
+        Array.iter
+          (fun c ->
+            if !k = 0 || a.(!k - 1) <> c then begin
+              a.(!k) <- c;
+              incr k
             end)
-          vcolor
+          a;
+        Array.sub a 0 !k
+      in
+      let rank = rank_in coefs 0 (Array.length coefs) in
+      let row_crank = Array.map rank ctx.row_coef in
+      let occ_crank = Array.map rank ctx.occ_coef in
+      let m = Array.length ctx.rhs in
+      let rkey = Array.make nnz 0 and vkey = Array.make nnz 0 in
+      let rcolour = Array.make m 0 in
+      let vcolour = ref (Array.make n 0) and spare = ref (Array.make n 0) in
+      let relabel =
+        let k = max n m in
+        relabel ~hs:(Array.make k 0) ~table:(Array.make (4 * k) 0)
+      in
+      let nv =
+        ref
+          (relabel n
+             (fun u -> mix (mix (mix 0 ctx.lbs.(u)) ctx.ubs.(u)) ctx.objc.(u))
+             (fun u v ->
+               ctx.lbs.(u) = ctx.lbs.(v)
+               && ctx.ubs.(u) = ctx.ubs.(v)
+               && ctx.objc.(u) = ctx.objc.(v))
+             !vcolour)
+      in
+      (* Each pass refines the previous partition, so once a pass leaves
+         the class count unchanged the partition is a fixpoint (as is the
+         discrete one).  The pass cap bounds the work on models that keep
+         splitting. *)
+      let passes = ref 0 and growing = ref (!nv < n) in
+      while !growing && !passes < max_passes do
+        incr passes;
+        let vc = !vcolour in
+        for i = 0 to m - 1 do
+          let s = ctx.row_start.(i) and e = ctx.row_start.(i + 1) in
+          for t = s to e - 1 do
+            rkey.(t) <- (row_crank.(t) * !nv) + vc.(ctx.row_var.(t))
+          done;
+          sort_slice rkey s e
+        done;
+        let nr =
+          relabel m
+            (fun i ->
+              hash_slice rkey ctx.row_start.(i)
+                ctx.row_start.(i + 1)
+                (mix (mix 0 ctx.sense.(i)) ctx.rhs.(i)))
+            (fun i j ->
+              ctx.sense.(i) = ctx.sense.(j)
+              && ctx.rhs.(i) = ctx.rhs.(j)
+              && equal_slices rkey ctx.row_start.(i)
+                   ctx.row_start.(i + 1)
+                   ctx.row_start.(j)
+                   ctx.row_start.(j + 1))
+            rcolour
+        in
+        for v = 0 to n - 1 do
+          let s = ctx.occ_start.(v) and e = ctx.occ_start.(v + 1) in
+          for t = s to e - 1 do
+            vkey.(t) <- (occ_crank.(t) * nr) + rcolour.(ctx.occ_row.(t))
+          done;
+          sort_slice vkey s e
+        done;
+        let fresh = !spare in
+        let nv' =
+          relabel n
+            (fun u ->
+              hash_slice vkey ctx.occ_start.(u) ctx.occ_start.(u + 1)
+                (mix 0 vc.(u)))
+            (fun u v ->
+              vc.(u) = vc.(v)
+              && equal_slices vkey ctx.occ_start.(u)
+                   ctx.occ_start.(u + 1)
+                   ctx.occ_start.(v)
+                   ctx.occ_start.(v + 1))
+            fresh
+        in
+        spare := vc;
+        vcolour := fresh;
+        growing := nv' > !nv && nv' < n;
+        nv := nv'
       done;
-      (* Group by final colour, then split each class into maximal runs of
-         verified adjacent transpositions (adjacent transpositions generate
-         the full symmetric group on the run). *)
-      let classes = Hashtbl.create 17 in
-      for v = n - 1 downto 0 do
-        Hashtbl.replace classes vcolor.(v)
-          (v
-          ::
-          (match Hashtbl.find_opt classes vcolor.(v) with
-          | Some l -> l
-          | None -> []))
+      (* Group by final colour, members ascending, then split each class
+         into maximal runs of verified adjacent transpositions (adjacent
+         transpositions generate the full symmetric group on the run). *)
+      let vc = !vcolour and nv = !nv in
+      let cstart = Array.make (nv + 1) 0 in
+      Array.iter (fun c -> cstart.(c + 1) <- cstart.(c + 1) + 1) vc;
+      for c = 0 to nv - 1 do
+        cstart.(c + 1) <- cstart.(c + 1) + cstart.(c)
       done;
-      let orbits = ref [] in
-      Hashtbl.iter
-        (fun _ members ->
-          match members with
-          | [] | [ _ ] -> ()
-          | first :: rest ->
-              let flush run =
-                if List.length run >= 2 then
-                  orbits := Scalar (Array.of_list (List.rev run)) :: !orbits
-              in
-              let run = ref [ first ] in
-              List.iter
-                (fun v ->
-                  match !run with
-                  | last :: _ when transposition_ok ctx [ (last, v) ] ->
-                      run := v :: !run
-                  | _ ->
-                      flush !run;
-                      run := [ v ])
-                rest;
-              flush !run)
-        classes;
+      let members = Array.make n 0 and fill = Array.sub cstart 0 nv in
+      for v = 0 to n - 1 do
+        members.(fill.(vc.(v))) <- v;
+        fill.(vc.(v)) <- fill.(vc.(v)) + 1
+      done;
+      let runs = ref [] in
+      let flush run =
+        match run with
+        | _ :: _ :: _ -> runs := Array.of_list (List.rev run) :: !runs
+        | [] | [ _ ] -> ()
+      in
+      for c = 0 to nv - 1 do
+        if cstart.(c + 1) - cstart.(c) >= 2 then begin
+          let run = ref [ members.(cstart.(c)) ] in
+          for t = cstart.(c) + 1 to cstart.(c + 1) - 1 do
+            let v = members.(t) in
+            match !run with
+            | last :: _ when transposition_ok ctx [ (last, v) ] ->
+                run := v :: !run
+            | _ ->
+                flush !run;
+                run := [ v ]
+          done;
+          flush !run
+        end
+      done;
       (* Deterministic output order: by smallest member. *)
-      List.sort
-        (fun a b ->
-          compare (List.hd (vars a)) (List.hd (vars b)))
-        !orbits
+      List.sort (fun a b -> Int.compare a.(0) b.(0)) !runs
+      |> List.map (fun vs -> Scalar vs)
     end
   end
 

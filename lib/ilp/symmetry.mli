@@ -46,7 +46,9 @@ val vars : orbit -> int list
 (** Every variable mentioned by the orbit. *)
 
 type ctx
-(** Preprocessed model view for repeated automorphism checks. *)
+(** Preprocessed model view for repeated automorphism checks: the rows as
+    CSR int arrays, their per-variable transpose, bounds and objective
+    coefficients. *)
 
 val make_ctx : Model.t -> ctx
 
@@ -70,11 +72,20 @@ val detect : ?max_vars:int -> ?max_nnz:int -> Model.t -> orbit list
 (** Automatic scalar-orbit detection: iterative colour refinement over the
     variable/constraint incidence structure proposes candidate classes,
     which are then split into maximal runs of exactly-verified adjacent
-    transpositions.  Only orbits of size >= 2 are returned.  Returns [[]]
-    immediately on models larger than [max_vars] variables (default 4000)
-    or [max_nnz] constraint non-zeros (default 100_000) — detection is for
-    small and mid-size models; large structured models should pass their
-    known orbits explicitly. *)
+    transpositions.  Only orbits of size >= 2 are returned, each ascending,
+    the list ordered by smallest member.
+
+    Colours are ints renumbered every pass from int keys: a variable by
+    its previous colour and the multiset of (coefficient, row colour) over
+    its occurrences, a row by sense, rhs and the multiset of (coefficient,
+    variable colour).  Refinement stops once a pass leaves the number of
+    variable classes unchanged — each pass refines the last, so that
+    partition is the fixpoint — and after at most 8 passes.
+
+    Returns [[]] immediately on models larger than [max_vars] variables
+    (default 4000) or [max_nnz] constraint non-zeros (default 100_000) —
+    detection is for small and mid-size models; large structured models
+    should pass their known orbits explicitly. *)
 
 val add_lex_rows : Model.t -> orbit list -> Model.t * int
 (** A copy of the model with lexicographic ordering rows appended, and how

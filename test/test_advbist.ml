@@ -587,6 +587,41 @@ let test_encoding_orbits_free_registers () =
     (Option.get without.Ilp.Solver.objective)
     (Option.get with_orbits.Ilp.Solver.objective)
 
+(* Ilp.Symmetry.detect pinned on three presolved BIST encodings: every
+   orbit and its members must match test/symmetry_golden.txt line for line
+   (tseng k=1, dct4 k=2 — whose colour refinement is still splitting at the
+   pass cap — and ewf k=3, the largest). *)
+let test_symmetry_detect_golden () =
+  let ic = open_in "symmetry_golden.txt" in
+  let lines = In_channel.input_lines ic in
+  close_in ic;
+  let lines =
+    List.filter (fun l -> l <> "" && l.[0] <> '#') lines
+  in
+  check_int "golden models" 3 (List.length lines);
+  List.iter
+    (fun line ->
+      let circuit, k =
+        Scanf.sscanf line "%s %d " (fun c k -> (c, k))
+      in
+      let p = Option.get (Circuits.Suite.find circuit) in
+      let e =
+        Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k
+      in
+      let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
+      let orbits = Ilp.Symmetry.detect model in
+      let render = function
+        | Ilp.Symmetry.Scalar vs ->
+            String.concat "," (Array.to_list (Array.map string_of_int vs))
+        | Ilp.Symmetry.Blocks _ -> "blocks"
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s k=%d orbits" circuit k)
+        line
+        (Printf.sprintf "%s %d %d: %s" circuit k (List.length orbits)
+           (String.concat " " (List.map render orbits))))
+    lines
+
 (* Cross-k seeding: a seed netlist gives synthesize a finite incumbent, and
    the seeded design can never be worse than the seed's own repaired cost;
    sweeping with seeds must preserve the per-k areas of independent
@@ -1066,6 +1101,11 @@ let () =
         [
           Alcotest.test_case "free registers" `Quick
             test_encoding_orbits_free_registers;
+        ] );
+      ( "symmetry",
+        [
+          Alcotest.test_case "detect golden (tseng k1, dct4 k2, ewf k3)" `Quick
+            test_symmetry_detect_golden;
         ] );
       ( "bounds",
         [

@@ -926,23 +926,6 @@ let prop_lp_roundtrip_structural =
 
 (* -- Pool ----------------------------------------------------------------- *)
 
-let test_pool_map_matches_sequential () =
-  let xs = List.init 40 Fun.id in
-  let f x = (x * x) + 1 in
-  Alcotest.(check (list int))
-    "parallel map = List.map" (List.map f xs)
-    (Ilp.Pool.map ~jobs:4 f xs)
-
-let test_pool_map_propagates_exception () =
-  check_bool "raises" true
-    (try
-       ignore
-         (Ilp.Pool.map ~jobs:3
-            (fun x -> if x = 5 then failwith "boom" else x)
-            (List.init 8 Fun.id));
-       false
-     with Failure msg -> msg = "boom")
-
 let test_pool_submit_await () =
   let pool = Ilp.Pool.create ~jobs:2 in
   let t1 = Ilp.Pool.submit pool (fun () -> 6 * 7) in
@@ -958,24 +941,6 @@ let test_pool_submit_await () =
        ignore (Ilp.Pool.submit pool (fun () -> ()));
        false
      with Invalid_argument _ -> true)
-
-let test_pool_cancellation () =
-  let pool = Ilp.Pool.create ~jobs:1 in
-  let token = Atomic.make false in
-  let task =
-    Ilp.Pool.submit ~cancel:token pool (fun () ->
-        (* a cooperative workload: spin until the token flips (bounded so a
-           cancellation bug fails the test instead of hanging it) *)
-        let i = ref 0 in
-        while (not (Atomic.get token)) && !i < 2_000_000_000 do
-          incr i
-        done;
-        if Atomic.get token then "cancelled" else "ran to completion")
-  in
-  Ilp.Pool.cancel task;
-  check_bool "observed the token" true
-    (Ilp.Pool.await task = Ok "cancelled");
-  Ilp.Pool.shutdown pool
 
 let test_lp_format_sanitize () =
   let m = Ilp.Model.create () in
@@ -1069,6 +1034,160 @@ let test_symmetry_detects_planted () =
     Array.for_all (fun y -> List.mem y vars) ys
   in
   check_bool "planted group detected" true (List.exists covers orbits)
+
+(* Colour refinement stops at its pass cap: leaves a, b hang off vertex c
+   and x, y off vertex d (every edge a row [u + v <= 1] over binaries), and
+   c, d start chains of [len] and [len + 1] further vertices.  Swapping a
+   with b (x with y) is an automorphism; a and x differ only at the chain
+   ends, which refinement sees after about [len + 2] passes.  In index
+   order the class is [a; x; b; y], so no adjacent pair verifies until
+   the split: len = 6 splits within the 8-pass cap, len = 7 does not. *)
+let twin_chains_model len =
+  let m = Ilp.Model.create ~name:"twin_chains" () in
+  let count = ref 0 in
+  let fresh () =
+    let v = Ilp.Model.bool_var m (Printf.sprintf "v%d" !count) in
+    incr count;
+    v
+  in
+  let a = fresh () and x = fresh () and b = fresh () and y = fresh () in
+  let c = fresh () and d = fresh () in
+  let edge u v = Ilp.Model.add_le m (Ilp.Linexpr.of_list [ (1, u); (1, v) ]) 1 in
+  edge a c;
+  edge b c;
+  edge x d;
+  edge y d;
+  let chain start len =
+    let prev = ref start in
+    for _ = 1 to len do
+      let w = fresh () in
+      edge !prev w;
+      prev := w
+    done
+  in
+  chain c len;
+  chain d (len + 1);
+  m
+
+let test_symmetry_pass_cap () =
+  let detect len =
+    List.map Ilp.Symmetry.vars (Ilp.Symmetry.detect (twin_chains_model len))
+  in
+  Alcotest.(check (list (list int)))
+    "split within the cap" [ [ 0; 2 ]; [ 1; 3 ] ] (detect 6);
+  Alcotest.(check (list (list int))) "split past the cap" [] (detect 7)
+
+(* Reference automorphism check on dense coefficient vectors: the swaps
+   must be an involution on distinct in-range variables, and the
+   permutation must fix bounds, objective and the multiset of rows. *)
+let brute_transposition_ok m pairs =
+  let n = Ilp.Model.n_vars m in
+  let pairs = List.filter (fun (u, v) -> u <> v) pairs in
+  let ends = List.concat_map (fun (u, v) -> [ u; v ]) pairs in
+  List.for_all (fun v -> v >= 0 && v < n) ends
+  && List.length (List.sort_uniq compare ends) = List.length ends
+  &&
+  let pi = Array.init n Fun.id in
+  List.iter
+    (fun (u, v) ->
+      pi.(u) <- v;
+      pi.(v) <- u)
+    pairs;
+  let dense e = Array.init n (fun v -> Ilp.Linexpr.coef e v) in
+  let permute a =
+    let b = Array.copy a in
+    Array.iteri (fun v x -> b.(pi.(v)) <- x) a;
+    b
+  in
+  let fixed a = permute a = a in
+  fixed (Ilp.Model.lower_bounds m)
+  && fixed (Ilp.Model.upper_bounds m)
+  && fixed (dense (Ilp.Model.objective m))
+  &&
+  let rows =
+    Array.to_list
+      (Array.map
+         (fun (c : Ilp.Model.constr) ->
+           (c.Ilp.Model.sense, c.Ilp.Model.rhs, dense c.Ilp.Model.expr))
+         (Ilp.Model.constraints m))
+  in
+  List.sort compare rows
+  = List.sort compare (List.map (fun (s, r, a) -> (s, r, permute a)) rows)
+
+(* Small models whose expressions repeat variables and cancel terms, with
+   candidate swaps that may be out of range, overlap or be trivial.  The
+   [closure] level makes the model (partly) invariant under the swaps so
+   that true automorphisms are common: 1 adds each row's image, 2 also
+   symmetrizes the objective, 3 also equalizes the swapped bounds. *)
+let gen_transposition_case =
+  QCheck2.Gen.(
+    let* n = int_range 2 6 in
+    let term = pair (int_range (-3) 3) (int_range 0 (n - 1)) in
+    let row =
+      triple
+        (list_size (int_range 0 5) term)
+        (oneofl [ Ilp.Model.Le; Ilp.Model.Ge; Ilp.Model.Eq ])
+        (int_range (-2) 4)
+    in
+    let* bounds = list_size (return n) (oneofl [ (0, 1); (0, 2); (-1, 1) ]) in
+    let* obj = list_size (int_range 0 6) term in
+    let* rows = list_size (int_range 0 6) row in
+    let* pairs =
+      list_size (int_range 1 3) (pair (int_range (-1) n) (int_range 0 (n - 1)))
+    in
+    let* closure = int_range 0 3 in
+    return (n, bounds, obj, rows, pairs, closure))
+
+let build_transposition_case (n, bounds, obj, rows, pairs, closure) =
+  let pi = Array.init n Fun.id in
+  List.iter
+    (fun (u, v) ->
+      if u >= 0 && u < n && pi.(u) = u && pi.(v) = v then begin
+        pi.(u) <- v;
+        pi.(v) <- u
+      end)
+    pairs;
+  let image terms = List.map (fun (c, v) -> (c, pi.(v))) terms in
+  let bounds = Array.of_list bounds in
+  let bounds =
+    if closure >= 3 then Array.init n (fun v -> bounds.(min v pi.(v)))
+    else bounds
+  in
+  let m = Ilp.Model.create ~name:"transpositions" () in
+  Array.iteri
+    (fun v (lb, ub) ->
+      ignore (Ilp.Model.int_var m ~lb ~ub (Printf.sprintf "x%d" v)))
+    bounds;
+  let rows =
+    if closure >= 1 then
+      rows @ List.map (fun (terms, sense, rhs) -> (image terms, sense, rhs)) rows
+    else rows
+  in
+  List.iter
+    (fun (terms, sense, rhs) ->
+      Ilp.Model.add m (Ilp.Linexpr.of_list terms) sense rhs)
+    rows;
+  Ilp.Model.set_objective m
+    (Ilp.Linexpr.of_list (if closure >= 2 then obj @ image obj else obj));
+  m
+
+let prop_transposition_matches_brute_force =
+  QCheck2.Test.make
+    ~name:"transposition_ok = brute-force automorphism check; detect verified"
+    ~count:1000 gen_transposition_case (fun ((_, _, _, _, pairs, _) as spec) ->
+      let m = build_transposition_case spec in
+      let ctx = Ilp.Symmetry.make_ctx m in
+      Ilp.Symmetry.transposition_ok ctx pairs = brute_transposition_ok m pairs
+      && List.for_all
+           (function
+             | Ilp.Symmetry.Scalar vs ->
+                 let ok = ref true in
+                 for i = 0 to Array.length vs - 2 do
+                   ok := !ok && brute_transposition_ok m [ (vs.(i), vs.(i + 1)) ]
+                 done;
+                 !ok
+             | Ilp.Symmetry.Blocks _ -> false)
+           (Ilp.Symmetry.detect m))
 
 (* -- Work-stealing parallel search ---------------------------------------- *)
 
@@ -1713,21 +1832,20 @@ let () =
             [ prop_lp_roundtrip; prop_lp_roundtrip_structural ] );
       ( "pool",
         [
-          Alcotest.test_case "map order" `Quick test_pool_map_matches_sequential;
-          Alcotest.test_case "map exception" `Quick
-            test_pool_map_propagates_exception;
           Alcotest.test_case "submit/await" `Quick test_pool_submit_await;
-          Alcotest.test_case "cancellation" `Quick test_pool_cancellation;
         ] );
       ( "symmetry",
         [
           Alcotest.test_case "planted group detected" `Quick
             test_symmetry_detects_planted;
+          Alcotest.test_case "refinement pass cap" `Quick
+            test_symmetry_pass_cap;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [
               prop_symmetry_preserves_optimum;
               prop_trusted_orbits_preserve_optimum;
+              prop_transposition_matches_brute_force;
             ] );
       ( "parallel",
         [ Alcotest.test_case "deques" `Quick test_deques ]
